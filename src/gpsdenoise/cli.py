@@ -55,17 +55,53 @@ def _trajectory_to_dict(cfg: TrajectoryConfig) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _config_section(filecfg: dict, name: str) -> dict:
+    doc = filecfg.get(name, {})
+    if not isinstance(doc, dict):
+        raise ValueError(f"config key '{name}' must be a JSON object, got {doc!r}")
+    return doc
+
+
+def _config_value(doc: dict, path: str, cast, default=_REQUIRED):
+    """Read the config value at dotted `path` (its last part keys `doc`) through `cast`.
+
+    A missing required value, or one that `cast` rejects, raises a
+    ValueError naming the key, which the CLI reports as a usage error.
+    """
+    key = path.rsplit(".", 1)[-1]
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"config key '{path}' is missing")
+        return default
+    try:
+        return cast(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key '{path}' has invalid value {doc[key]!r}: {exc}") from None
+
+
+def _list_of(cast):
+    """Cast for a JSON list whose every item goes through `cast`."""
+    def read(value):
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [cast(v) for v in value]
+    return read
+
+
+def _sinusoids(value) -> tuple[tuple[Sinusoid, ...], ...]:
+    return tuple(tuple(Sinusoid(*_list_of(float)(s)) for s in comp) for comp in value)
+
+
 def _trajectory_from_dict(doc: dict) -> TrajectoryConfig:
-    sinusoids = tuple(
-        tuple(Sinusoid(*[float(v) for v in s]) for s in comp)
-        for comp in doc.get("sinusoids", [[], [], []])
-    )
     return TrajectoryConfig(
-        n_samples=int(doc["n_samples"]),
-        dt=float(doc["dt"]),
-        sinusoids=sinusoids,
-        drift=tuple(doc.get("drift", (0.0, 0.0, 0.0))),
-        offset=tuple(doc.get("offset", (0.0, 0.0, 0.0))),
+        n_samples=_config_value(doc, "trajectory.n_samples", int),
+        dt=_config_value(doc, "trajectory.dt", float),
+        sinusoids=_config_value(doc, "trajectory.sinusoids", _sinusoids, ((), (), ())),
+        drift=tuple(_config_value(doc, "trajectory.drift", _list_of(float), [0.0, 0.0, 0.0])),
+        offset=tuple(_config_value(doc, "trajectory.offset", _list_of(float), [0.0, 0.0, 0.0])),
     )
 
 
@@ -74,13 +110,17 @@ def _load_config(path: str | None) -> dict:
         return {}
     doc = json.loads(Path(path).read_text(encoding="ascii"))
     # A manifest written by a previous run doubles as a config file.
-    return doc.get("config", doc)
+    if isinstance(doc, dict):
+        doc = doc.get("config", doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    return doc
 
 
 def _resolve_common(args, filecfg: dict) -> tuple[TrajectoryConfig, NoiseConfig, BandSpec]:
     trajectory = DEFAULT_TRAJECTORY
     if "trajectory" in filecfg:
-        trajectory = _trajectory_from_dict(filecfg["trajectory"])
+        trajectory = _trajectory_from_dict(_config_section(filecfg, "trajectory"))
     overrides = {}
     if getattr(args, "samples", None) is not None:
         overrides["n_samples"] = args.samples
@@ -99,19 +139,21 @@ def _resolve_common(args, filecfg: dict) -> tuple[TrajectoryConfig, NoiseConfig,
     if overrides:
         trajectory = dataclasses.replace(trajectory, **overrides)
 
-    noise_doc = filecfg.get("noise", {})
-    sigma = noise_doc.get("sigma", DEFAULT_NOISE.sigma)
-    seed = noise_doc.get("seed", DEFAULT_SEED)
+    noise_doc = _config_section(filecfg, "noise")
+    sigma = _config_value(noise_doc, "noise.sigma", float, DEFAULT_NOISE.sigma)
+    seed = _config_value(noise_doc, "noise.seed", int, DEFAULT_SEED)
     if getattr(args, "sigma", None) is not None:
         sigma = args.sigma
     if args.seed is not None:
         seed = args.seed
-    noise = NoiseConfig(sigma=float(sigma), seed=int(seed))
+    noise = NoiseConfig(sigma=sigma, seed=seed)
 
-    band_doc = filecfg.get("band_spec", {})
+    band_doc = _config_section(filecfg, "band_spec")
     band_spec = BandSpec(
-        low_cutoff=float(band_doc.get("low_cutoff", DEFAULT_BAND_SPEC.low_cutoff)),
-        high_cutoff=float(band_doc.get("high_cutoff", DEFAULT_BAND_SPEC.high_cutoff)),
+        low_cutoff=_config_value(band_doc, "band_spec.low_cutoff", float,
+                                 DEFAULT_BAND_SPEC.low_cutoff),
+        high_cutoff=_config_value(band_doc, "band_spec.high_cutoff", float,
+                                  DEFAULT_BAND_SPEC.high_cutoff),
     )
     return trajectory, noise, band_spec
 
@@ -168,13 +210,18 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     filecfg = _load_config(args.config)
     trajectory, noise, band_spec = _resolve_common(args, filecfg)
-    bench_doc = filecfg.get("bench", {})
+    bench_doc = _config_section(filecfg, "bench")
 
-    nnsize = args.nnsize if args.nnsize is not None else bench_doc.get("nnsize", [50, 100])
-    spread = args.spread if args.spread is not None else bench_doc.get("spread", [30.0, 50.0, 100.0])
-    sse = args.sse if args.sse is not None else bench_doc.get("sse", [1e-6])
-    bands = args.filter if args.filter is not None else bench_doc.get("filter", ["low"])
-    repeats = args.repeats if args.repeats is not None else bench_doc.get("repeats", 5)
+    def setting(flag, key, cast, default):
+        if flag is not None:
+            return flag
+        return _config_value(bench_doc, f"bench.{key}", cast, default)
+
+    nnsize = setting(args.nnsize, "nnsize", _list_of(int), [50, 100])
+    spread = setting(args.spread, "spread", _list_of(float), [30.0, 50.0, 100.0])
+    sse = setting(args.sse, "sse", _list_of(float), [1e-6])
+    bands = setting(args.filter, "filter", _list_of(str), ["low"])
+    repeats = setting(args.repeats, "repeats", int, 5)
 
     for band in bands:
         if band not in BAND_NAMES + ("none",):

@@ -5,6 +5,12 @@ inputs; the output layer is linear with a bias and is re-solved by least
 squares after every center insertion. Training stops when the summed squared
 error falls to the configured goal, the neuron budget is reached, or every
 training input has been consumed as a center.
+
+Candidate scoring reads the n x n candidate kernel matrix only through a
+kernel operator. Inputs on a uniform 1-D grid (the time axis of a sampled
+series) get ToeplitzKernel, which stores one kernel column and multiplies
+by FFT in O(n log n) time and O(n) memory; any other inputs get
+DenseKernel, which holds the full matrix.
 """
 from __future__ import annotations
 
@@ -124,6 +130,109 @@ def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarra
     return np.exp(-sq / (spread * spread))
 
 
+# A grid is accepted for ToeplitzKernel when its worst deviation from the
+# straight line through its end points is at most this fraction of the
+# spread. The Toeplitz entry K[i, j] = c[|i - j|] is evaluated at the
+# distance x[|i-j|] - x[0] instead of x[i] - x[j]; those differ by at most
+# three deviations, and |d/dr exp(-(r/s)^2)| <= sqrt(2/e)/s, so every entry
+# stays within sqrt(2/e) * 3 * 3e-13 = 7.7e-13 of the dense kernel, whose
+# diagonal is 1; the rest of 1e-12 covers rounding in the line itself.
+_GRID_TOL = 3e-13
+
+
+class DenseKernel:
+    """Candidate kernel matrix K[i, j] = exp(-|x_i - x_j|^2 / spread^2), held in full.
+
+    Works for any inputs, in O(n^2) memory.
+    """
+
+    def __init__(self, X: np.ndarray, spread: float):
+        # Built one input dimension at a time to stay within two n*n buffers.
+        n = X.shape[0]
+        sq = np.zeros((n, n))
+        for coord in X.T:
+            diff = np.subtract.outer(coord, coord)
+            diff *= diff
+            sq += diff
+        sq /= -(spread * spread)
+        self.matrix = np.exp(sq, out=sq)
+
+    def matmul(self, V: np.ndarray) -> np.ndarray:
+        """K.T @ V for V of shape (n, r)."""
+        return self.matrix.T @ V
+
+    def constant_projection(self) -> np.ndarray:
+        """Every column's projection on the unit constant vector: column sums / sqrt(n)."""
+        n = self.matrix.shape[0]
+        return np.full(n, 1.0 / np.sqrt(n)) @ self.matrix
+
+    def column_norms2(self) -> np.ndarray:
+        """Squared Euclidean norm of every column."""
+        return np.einsum("ij,ij->j", self.matrix, self.matrix)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j: the activations of center x_j on every input."""
+        return self.matrix[:, j]
+
+
+class ToeplitzKernel:
+    """The same kernel for 1-D inputs on a constant step, without the n*n matrix.
+
+    On such a grid K[i, j] = c[|i - j|] with c the first column, so K is
+    symmetric Toeplitz. Products embed K in a 2n circulant matrix and go
+    through one real FFT (Chan & Ng, SIAM Review 38, 1996); column sums and
+    norms come from prefix sums of c. Memory is O(n).
+    """
+
+    def __init__(self, X: np.ndarray, spread: float):
+        self._x = X
+        self._spread = spread
+        c = self.column(0)
+        self._c = c
+        # First column of the circulant embedding: c, one free entry, c reversed.
+        self._circ_fft = np.fft.rfft(np.concatenate([c, [0.0], c[:0:-1]]))
+
+    def matmul(self, V: np.ndarray) -> np.ndarray:
+        """K.T @ V (= K @ V) for V of shape (n, r)."""
+        n = self._c.size
+        spectrum = np.fft.rfft(V, n=2 * n, axis=0)
+        spectrum *= self._circ_fft[:, None]
+        return np.fft.irfft(spectrum, n=2 * n, axis=0)[:n]
+
+    def _symmetric_sums(self, values: np.ndarray) -> np.ndarray:
+        # Column j holds values[j..1] above the diagonal and values[0..n-1-j]
+        # from it down, so its sum is two prefix sums less the shared values[0].
+        prefix = np.cumsum(values)
+        return prefix + prefix[::-1] - values[0]
+
+    def constant_projection(self) -> np.ndarray:
+        """Every column's projection on the unit constant vector: column sums / sqrt(n)."""
+        return self._symmetric_sums(self._c) * (1.0 / np.sqrt(self._c.size))
+
+    def column_norms2(self) -> np.ndarray:
+        """Squared Euclidean norm of every column."""
+        return self._symmetric_sums(self._c * self._c)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j, evaluated from the inputs like forward() does."""
+        return _activations(self._x, self._x[j:j + 1], self._spread)[:, 0]
+
+
+def kernel_operator(X: np.ndarray, spread: float) -> DenseKernel | ToeplitzKernel:
+    """The kernel operator for inputs X of shape (n, d), chosen from X alone.
+
+    ToeplitzKernel when X is one column of at least two values on a constant
+    step, to within _GRID_TOL * spread; DenseKernel otherwise.
+    """
+    n = X.shape[0]
+    if X.shape[1] == 1 and n >= 2:
+        x = X[:, 0]
+        line = x[0] + (x[-1] - x[0]) / (n - 1) * np.arange(n)
+        if float(np.max(np.abs(x - line))) <= _GRID_TOL * spread:
+            return ToeplitzKernel(X, spread)
+    return DenseKernel(X, spread)
+
+
 def forward(net: RbfNetwork, inputs) -> np.ndarray:
     """Evaluate the network on one d-vector or a batch of shape (n, d)."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -166,9 +275,16 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     then repeatedly promotes the not-yet-used training input whose kernel
     column most reduces the summed squared error (ties broken by lowest
     index), re-solving the linear output layer after each insertion. The
-    candidate reductions are computed exactly by keeping the candidate
-    kernel matrix orthogonalized against the current design, which costs
-    O(n^2) memory and O(n^2) time per added neuron. Deterministic:
+    candidate reductions are computed exactly from an orthonormal basis of
+    the current design and its projections on every candidate column, which
+    costs O(n*k) memory for k neurons plus one product of the candidate
+    kernel matrix with m+1 vectors per added neuron (m output columns).
+
+    That matrix is reached through kernel_operator(): for 1-D inputs on a
+    uniform grid it is never formed, and each product is an FFT
+    convolution costing O(n log n); other inputs hold the full matrix in
+    O(n^2) memory and pay O(n^2) per product. Either way the design
+    columns are the activations forward() computes. Deterministic:
     identical inputs, targets and config give identical results.
     """
     X = np.asarray(inputs, dtype=np.float64)
@@ -186,6 +302,13 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
         raise ValueError(f"targets rows ({Y.shape[0]}) != inputs rows ({n})")
     if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise ValueError("inputs and targets must be finite")
+    return _greedy_train(X, Y, config, kernel_operator(X, config.spread))
+
+
+def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
+                  op: DenseKernel | ToeplitzKernel) -> tuple[RbfNetwork, TrainTrace]:
+    """train() on validated (n, d) inputs and (n, m) targets through kernel operator op."""
+    n = X.shape[0]
     m = Y.shape[1]
 
     # Solve against mean-centered targets and fold the means back into the
@@ -198,17 +321,6 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     residual = Yc.copy()  # == Y - (bias-only predictions)
     sse = float(np.sum(residual * residual))
 
-    # Candidate kernel matrix, built one input dimension at a time to stay
-    # within two n*n buffers: column j is the activation column that center
-    # X[j] would contribute, reused later to assemble the design.
-    sq = np.zeros((n, n))
-    for coord in X.T:
-        diff = np.subtract.outer(coord, coord)
-        diff *= diff
-        sq += diff
-    sq /= -(config.spread * config.spread)
-    cand = np.exp(sq, out=sq)
-
     # Orthonormal basis of the current design span (bias direction first)
     # and its projections onto every candidate column, kept incrementally
     # so each candidate's exact SSE reduction is one dot product away. The
@@ -218,9 +330,9 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     basis = np.empty((max_centers + 1, n))
     basis_proj = np.empty((max_centers + 1, n))
     basis[0] = 1.0 / np.sqrt(n)
-    basis_proj[0] = basis[0] @ cand
+    basis_proj[0] = op.constant_projection()
     n_basis = 1
-    cand_norm2 = np.einsum("ij,ij->j", cand, cand) - basis_proj[0] ** 2
+    cand_norm2 = op.column_norms2() - basis_proj[0] ** 2
     pending: np.ndarray | None = None
 
     sse_history = [sse]
@@ -233,7 +345,7 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
 
     while sse > config.sse_goal and len(chosen) < config.max_neurons and available.any():
         if pending is not None:
-            passed = cand.T @ np.concatenate([residual, pending[:, None]], axis=1)
+            passed = op.matmul(np.concatenate([residual, pending[:, None]], axis=1))
             cross = passed[:, :m]
             basis_proj[n_basis] = passed[:, m]
             cand_norm2 -= basis_proj[n_basis] ** 2
@@ -241,7 +353,7 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
             n_basis += 1
             pending = None
         else:
-            cross = cand.T @ residual
+            cross = op.matmul(residual)
         # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2
         # with c_perp the part of c orthogonal to the current design span.
         B = basis[:n_basis]
@@ -252,7 +364,8 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
         chosen.append(idx)
         available[idx] = False
 
-        columns.append(cand[:, idx])
+        column = op.column(idx)
+        columns.append(column)
         design = np.column_stack(columns + [ones])
 
         new_weights, centered_bias = solve_output_weights(design, Yc)
@@ -273,10 +386,10 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
 
         # Orthogonalize the accepted column against the basis (second pass
         # for stability); columns already in span add no new direction.
-        v = cand[:, idx] - B.T @ P[:, idx]
+        v = column - B.T @ P[:, idx]
         v -= B.T @ (B @ v)
         norm = float(np.linalg.norm(v))
-        if norm > 1e-10 * float(np.linalg.norm(cand[:, idx])) and n_basis <= max_centers:
+        if norm > 1e-10 * float(np.linalg.norm(column)) and n_basis <= max_centers:
             pending = v / norm
             basis[n_basis] = pending
 

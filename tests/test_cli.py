@@ -224,6 +224,20 @@ class TestExitCodes:
         assert rc == 1
         assert "failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("generate", {"trajectory": {"dt": 0.5}}, "trajectory.n_samples"),
+        ("generate", {"noise": {"seed": [1]}}, "noise.seed"),
+        ("bench", {"bench": {"nnsize": "5"}}, "bench.nnsize"),
+    ])
+    def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main([command, "--config", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("gpsdenoise: error:") and key in err[0]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,14 +1,20 @@
 """Tests for the Gaussian RBF network and its greedy incremental training."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gpsdenoise.rbf import (
+    DenseKernel,
     RbfNetwork,
+    ToeplitzKernel,
     TrainConfig,
+    _greedy_train,
     forward,
     gaussian_activation,
+    kernel_operator,
     load_network,
     save_network,
     solve_output_weights,
@@ -216,14 +222,16 @@ class TestTrain:
 
     def test_deterministic(self):
         X, Y = _random_problem(31, n=20, d=1, m=3)
+        grid = np.linspace(0.0, 1.0, 20)[:, None]  # takes the Toeplitz path
         cfg = TrainConfig(sse_goal=1e-9, max_neurons=12, spread=0.2)
-        net1, trace1 = train(X, Y, cfg)
-        net2, trace2 = train(X, Y, cfg)
-        assert np.array_equal(net1.centers, net2.centers)
-        assert np.array_equal(net1.output_weights, net2.output_weights)
-        assert np.array_equal(net1.output_bias, net2.output_bias)
-        assert np.array_equal(trace1.sse_history, trace2.sse_history)
-        assert trace1.selected_indices == trace2.selected_indices
+        for inputs in (X, grid):
+            net1, trace1 = train(inputs, Y, cfg)
+            net2, trace2 = train(inputs, Y, cfg)
+            assert np.array_equal(net1.centers, net2.centers)
+            assert np.array_equal(net1.output_weights, net2.output_weights)
+            assert np.array_equal(net1.output_bias, net2.output_bias)
+            assert np.array_equal(trace1.sse_history, trace2.sse_history)
+            assert trace1.selected_indices == trace2.selected_indices
 
     def test_duplicate_inputs_handled(self):
         X = np.array([[0.1], [0.1], [0.5], [0.5], [0.9]])
@@ -275,6 +283,147 @@ class TestTrain:
             TrainConfig(sse_goal=0.0, max_neurons=0, spread=1.0)
         with pytest.raises(ValueError):
             TrainConfig(sse_goal=0.0, max_neurons=5, spread=0.0)
+
+
+def _grid(n, dt=0.1):
+    return (np.arange(n) * dt)[:, None]
+
+
+def _smooth_targets(t, seed):
+    """Three smooth components plus a little noise on time axis t."""
+    rng = np.random.default_rng(seed)
+    Y = np.column_stack([np.sin(2 * np.pi * t / 30), np.cos(2 * np.pi * t / 17) + t / 300,
+                         0.5 * np.sin(2 * np.pi * t / 45 + 1.0)])
+    return Y + rng.normal(0.0, 0.05, Y.shape)
+
+
+def _rel_dev(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestKernelOperator:
+    """ToeplitzKernel against the dense kernel matrix as the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 512, 4097])
+    @pytest.mark.parametrize("spread", [0.5, 50.0])
+    def test_toeplitz_matches_dense(self, n, spread):
+        X = _grid(n)
+        op = kernel_operator(X, spread)
+        assert isinstance(op, ToeplitzKernel)
+        dense = DenseKernel(X, spread)
+        V = np.random.default_rng(n).normal(0.0, 1.0, (n, 4))
+        assert _rel_dev(op.matmul(V), dense.matmul(V)) <= 1e-12
+        sums = op.constant_projection() * np.sqrt(n)
+        assert _rel_dev(sums, dense.matrix.sum(axis=0)) <= 1e-12
+        assert _rel_dev(op.column_norms2(), dense.column_norms2()) <= 1e-12
+        for j in {0, 1, n // 2, n - 1}:
+            # same evaluator as the dense build, so bit-identical
+            assert np.array_equal(op.column(j), dense.column(j))
+
+    @pytest.mark.parametrize("spread", [0.05, 1.0, 40.0])
+    def test_grid_tolerance_bounds_kernel_deviation(self, spread):
+        # alternating jitter just inside the acceptance bound: the Toeplitz
+        # kernel c[|i - j|] still matches the dense kernel entry-wise
+        n = 301
+        line = np.linspace(0.0, 30.0 * spread, n)
+        jitter = np.where(np.arange(n) % 2 == 1, 1.0, -1.0)
+        jitter[[0, -1]] = 0.0
+        tol = 3e-13 * spread
+        inside = (line + 0.95 * tol * jitter)[:, None]
+        op = kernel_operator(inside, spread)
+        assert isinstance(op, ToeplitzKernel)
+        lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        toeplitz = op.column(0)[lag]
+        assert np.max(np.abs(toeplitz - DenseKernel(inside, spread).matrix)) <= 1e-12
+        outside = (line + 1.5 * tol * jitter)[:, None]
+        assert isinstance(kernel_operator(outside, spread), DenseKernel)
+
+    # Dense-path inputs with the indices and stop rule they selected before
+    # the operator seam existed.
+    DENSE_CASES = {
+        "2d": [7, 0, 5, 8, 11, 4, 10, 3],
+        "jittered": [39, 6, 16, 38, 32, 37, 36, 31, 29, 10, 28, 3, 20, 26, 35],
+        "single": [],
+    }
+
+    @staticmethod
+    def _dense_case(name):
+        if name == "2d":
+            rng = np.random.default_rng(71)
+            return (rng.uniform(0, 1, (12, 2)), rng.normal(0, 1, (12, 3)),
+                    TrainConfig(sse_goal=0.0, max_neurons=8, spread=0.5))
+        if name == "jittered":
+            rng = np.random.default_rng(72)
+            x = np.arange(40) * 0.1 + rng.uniform(-1e-9, 1e-9, 40)
+            return (x[:, None], rng.normal(0, 1, (40, 2)),
+                    TrainConfig(sse_goal=0.0, max_neurons=15, spread=0.3))
+        return np.array([[0.5]]), np.array([[1.0, 2.0]]), TrainConfig(0.0, 3, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(DENSE_CASES))
+    def test_dense_path_selected_and_unchanged(self, name):
+        X, Y, cfg = self._dense_case(name)
+        assert isinstance(kernel_operator(X, cfg.spread), DenseKernel)
+        net, trace = train(X, Y, cfg)
+        assert trace.selected_indices == self.DENSE_CASES[name]
+        oracle_net, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, cfg.spread))
+        assert np.array_equal(trace.sse_history, oracle.sse_history)
+        assert np.array_equal(net.output_weights, oracle_net.output_weights)
+        assert np.array_equal(net.output_bias, oracle_net.output_bias)
+        assert trace.stop_reason == oracle.stop_reason
+
+    @pytest.mark.parametrize("spread", [0.5, 1.0, 2.0])
+    def test_training_matches_dense_on_well_conditioned_grid(self, spread):
+        X = _grid(1000)
+        Y = _smooth_targets(X[:, 0], seed=5)
+        cfg = TrainConfig(sse_goal=1e-6, max_neurons=30, spread=spread)
+        _, fast = _greedy_train(X, Y, cfg, ToeplitzKernel(X, spread))
+        _, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, spread))
+        assert fast.selected_indices == oracle.selected_indices
+        assert fast.stop_reason == oracle.stop_reason
+        assert _rel_dev(fast.sse_history, oracle.sse_history) <= 1e-10
+
+    def test_training_tracks_dense_on_default_signal(self):
+        # Nearly collinear columns give near-equal scores, so rounding may
+        # pick another index after some stage: compare the histories up to
+        # the first differing pick, never the indices themselves.
+        from gpsdenoise.pipeline import DEFAULT_NOISE, DEFAULT_TRAJECTORY
+        from gpsdenoise.signal import add_noise, generate_trajectory
+
+        noisy = add_noise(generate_trajectory(DEFAULT_TRAJECTORY), DEFAULT_NOISE)
+        X, Y = noisy.timestamps[:, None], noisy.samples
+        cfg = TrainConfig(sse_goal=1e-6, max_neurons=50, spread=30.0)
+        _, fast = _greedy_train(X, Y, cfg, ToeplitzKernel(X, cfg.spread))
+        _, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, cfg.spread))
+        assert fast.stop_reason == oracle.stop_reason
+        same = 0
+        while (same < len(oracle.selected_indices)
+               and fast.selected_indices[same] == oracle.selected_indices[same]):
+            same += 1
+        upto = same + 1  # sse_history[k] is the error after the first k picks
+        assert _rel_dev(fast.sse_history[:upto], oracle.sse_history[:upto]) <= 1e-9
+
+    def test_hour_long_grid_trains_in_linear_memory(self):
+        # one hour at 10 Hz: the dense kernel would need 2 * 8 * n^2 = 20.7 GB
+        from gpsdenoise.bandfilter import select_band
+        from gpsdenoise.pipeline import DEFAULT_BAND_SPEC, DEFAULT_NOISE, DEFAULT_TRAJECTORY
+        from gpsdenoise.signal import add_noise, generate_trajectory
+
+        trajectory = dataclasses.replace(DEFAULT_TRAJECTORY, n_samples=36_000)
+        noisy = add_noise(generate_trajectory(trajectory), DEFAULT_NOISE)
+        low = select_band(noisy, "low", DEFAULT_BAND_SPEC).series
+        X, Y = low.timestamps[:, None], low.samples
+        cfg = TrainConfig(sse_goal=0.0, max_neurons=20, spread=50.0)
+        # checked first, so a wrong choice cannot start a 20 GB allocation
+        assert isinstance(kernel_operator(X, cfg.spread), ToeplitzKernel)
+        tracemalloc.start()
+        try:
+            net, trace = train(X, Y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert net.n_centers == 20
+        assert np.all(np.diff(trace.sse_history) <= 0)
 
 
 class TestNetworkIO:

@@ -91,6 +91,12 @@ def _list_of(cast):
     return read
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
 def _sinusoids(value) -> tuple[tuple[Sinusoid, ...], ...]:
     return tuple(tuple(Sinusoid(*_list_of(float)(s)) for s in comp) for comp in value)
 
@@ -108,7 +114,10 @@ def _trajectory_from_dict(doc: dict) -> TrajectoryConfig:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text(encoding="ascii"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="ascii"))
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     # A manifest written by a previous run doubles as a config file.
     if isinstance(doc, dict):
         doc = doc.get("config", doc)
@@ -186,9 +195,10 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.out) if args.out else out_dir / "series.csv"
+    noisy = args.noisy or _config_value(filecfg, "noisy", _boolean, False)
 
     series = generate_trajectory(trajectory)
-    if args.noisy:
+    if noisy:
         from .signal import add_noise
 
         series = add_noise(series, noise)
@@ -198,7 +208,7 @@ def cmd_generate(args) -> int:
             "generate",
             {"trajectory": _trajectory_to_dict(trajectory),
              "noise": {"sigma": noise.sigma, "seed": noise.seed},
-             "noisy": bool(args.noisy)},
+             "noisy": noisy},
             {"noise": noise.seed},
         ),
         out.with_suffix(".manifest.json"),
@@ -317,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--samples", type=int, default=None, help="number of samples")
     g.add_argument("--dt", type=float, default=None, help="sample step in seconds")
     g.add_argument("--sigma", type=float, default=None, help="noise sigma (with --noisy)")
-    g.add_argument("--noisy", action="store_true", help="add seeded noise to the output")
+    g.add_argument("--noisy", action="store_true",
+                   help="add seeded noise to the output (also set by a config's \"noisy\": true)")
     g.add_argument("--out", default=None, help="output CSV path")
     g.set_defaults(func=cmd_generate)
 

@@ -1,10 +1,12 @@
 """Gaussian radial-basis-function network with greedy incremental training.
 
 Hidden units are Gaussians exp(-(r/spread)^2) centered on selected training
-inputs; the output layer is linear with a bias and is re-solved by least
-squares after every center insertion. Training stops when the summed squared
-error falls to the configured goal, the neuron budget is reached, or every
-training input has been consumed as a center.
+inputs; the output layer is linear with a bias. Training is orthogonal least
+squares: one QR factorisation of the design, grown by a column per inserted
+center, both scores the candidates and solves the output layer after every
+insertion. Training stops when the summed squared error falls to the
+configured goal, the neuron budget is reached, or every training input has
+been consumed as a center.
 
 Candidate scoring reads the n x n candidate kernel matrix only through a
 kernel operator. Inputs on a uniform 1-D grid (the time axis of a sampled
@@ -112,7 +114,10 @@ class TrainTrace:
     output_bias) solved at stage k, so intermediate-stage predictions can
     be reconstructed; teaching_outputs are the final-stage predictions on
     the training inputs. stop_reason is one of 'sse_goal', 'max_neurons',
-    'inputs_exhausted'.
+    'inputs_exhausted'. in_span[k - 1] is True when the center added at
+    stage k lay in the span of the earlier design to 1e-10 of its norm: it
+    added no direction, left the error unchanged, and got its weight from
+    the minimum-norm solve.
     """
 
     sse_history: np.ndarray
@@ -120,6 +125,7 @@ class TrainTrace:
     stage_params: list[tuple[np.ndarray, np.ndarray]]
     selected_indices: list[int]
     stop_reason: str
+    in_span: list[bool]
 
 
 def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
@@ -247,12 +253,14 @@ def forward(net: RbfNetwork, inputs) -> np.ndarray:
 
 
 def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares output layer for a design matrix with trailing constant column.
+    """Least-squares output layer for a design matrix with trailing bias column.
 
-    design: (n, k+1) with k activation columns followed by the all-ones
-    column; targets: (n, output_dim). Returns (weights, bias) minimizing the
-    Frobenius residual; rank-deficient designs fall back to the minimum-norm
-    solution (singular values below 1e-12 of the largest are dropped).
+    design: (r, k+1) with k activation columns followed by the bias column
+    (all ones for the n-row design; train() passes its r <= k+1 row factor
+    R of that design instead); targets: (r, output_dim). Returns (weights,
+    bias) minimizing the Frobenius residual; rank-deficient designs fall
+    back to the minimum-norm solution (singular values below 1e-12 of the
+    largest are dropped).
     """
     D = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
@@ -274,11 +282,14 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     Starts from the bias-only model (bias = column means of the targets),
     then repeatedly promotes the not-yet-used training input whose kernel
     column most reduces the summed squared error (ties broken by lowest
-    index), re-solving the linear output layer after each insertion. The
-    candidate reductions are computed exactly from an orthonormal basis of
-    the current design and its projections on every candidate column, which
-    costs O(n*k) memory for k neurons plus one product of the candidate
-    kernel matrix with m+1 vectors per added neuron (m output columns).
+    index). The candidate reductions are computed exactly from an
+    orthonormal basis Q of the current design and its projections on every
+    candidate column, which costs O(n*k) memory for k neurons plus one
+    product of the candidate kernel matrix with m+1 vectors per added neuron
+    (m output columns). Each insertion extends Q and the triangular factor R
+    of the same QR factorisation and projects the new direction out of the
+    residual, so the error drop of every stage is the score that chose it.
+    The output layer is solved through R, on at most k+1 rows instead of n.
 
     That matrix is reached through kernel_operator(): for 1-D inputs on a
     uniform grid it is never formed, and each product is an FFT
@@ -317,15 +328,16 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     target_means = Y.mean(axis=0)
     Yc = Y - target_means
 
-    bias = target_means.copy()
     residual = Yc.copy()  # == Y - (bias-only predictions)
     sse = float(np.sum(residual * residual))
 
-    # Orthonormal basis of the current design span (bias direction first)
-    # and its projections onto every candidate column, kept incrementally
-    # so each candidate's exact SSE reduction is one dot product away. The
-    # projections of a freshly added basis vector are folded into the next
-    # iteration's single pass over the candidate matrix.
+    # One QR factorisation of the design, grown a column at a time (orthogonal
+    # least squares): the orthonormal basis Q (rows of `basis`, the bias
+    # direction first) scores the candidates, and R with coef = Q.T @ Yc
+    # gives the output layer. `basis_proj` holds the basis projections of
+    # every candidate column, so each candidate's exact SSE reduction is one
+    # dot product away; the projections of a freshly added basis vector are
+    # folded into the next iteration's single pass over the candidate matrix.
     max_centers = min(config.max_neurons, n)
     basis = np.empty((max_centers + 1, n))
     basis_proj = np.empty((max_centers + 1, n))
@@ -333,25 +345,29 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     basis_proj[0] = op.constant_projection()
     n_basis = 1
     cand_norm2 = op.column_norms2() - basis_proj[0] ** 2
-    pending: np.ndarray | None = None
+    pending = False
+    # Design = Q @ [R | sqrt(n) e0]: column j of R holds center j's
+    # coordinates in the basis, and the bias column is sqrt(n) times the
+    # first basis vector. Yc is centered, so its bias coordinate is zero.
+    R = np.zeros((max_centers + 1, max_centers + 1))
+    R[0, max_centers] = np.sqrt(n)
+    coef = np.zeros((max_centers + 1, m))
 
     sse_history = [sse]
-    stage_params: list[tuple[np.ndarray, np.ndarray]] = [(np.zeros((0, m)), bias.copy())]
+    stage_params: list[tuple[np.ndarray, np.ndarray]] = [(np.zeros((0, m)), target_means.copy())]
     chosen: list[int] = []
+    in_span: list[bool] = []
     available = np.ones(n, dtype=bool)
-    columns: list[np.ndarray] = []
-    ones = np.ones((n, 1))
-    weights = np.zeros((0, m))
+    weights, bias = stage_params[0]
 
     while sse > config.sse_goal and len(chosen) < config.max_neurons and available.any():
-        if pending is not None:
-            passed = op.matmul(np.concatenate([residual, pending[:, None]], axis=1))
+        if pending:
+            passed = op.matmul(np.concatenate([residual, basis[n_basis - 1, :, None]], axis=1))
             cross = passed[:, :m]
-            basis_proj[n_basis] = passed[:, m]
-            cand_norm2 -= basis_proj[n_basis] ** 2
+            basis_proj[n_basis - 1] = passed[:, m]
+            cand_norm2 -= basis_proj[n_basis - 1] ** 2
             np.maximum(cand_norm2, 0.0, out=cand_norm2)
-            n_basis += 1
-            pending = None
+            pending = False
         else:
             cross = op.matmul(residual)
         # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2
@@ -361,37 +377,44 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         num = cross - P.T @ (B @ residual)
         scores = np.einsum("ij,ij->i", num, num) / np.maximum(cand_norm2, 1e-300)
         idx = int(np.argmax(np.where(available, scores, -np.inf)))
+        k = len(chosen)
         chosen.append(idx)
         available[idx] = False
 
+        # Orthogonalise the accepted column against the basis in two
+        # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
+        # The column is evaluated afresh rather than read from basis_proj,
+        # which carries the rounding of the scoring products.
         column = op.column(idx)
-        columns.append(column)
-        design = np.column_stack(columns + [ones])
-
-        new_weights, centered_bias = solve_output_weights(design, Yc)
-        new_bias = centered_bias + target_means
-        new_preds = design[:, :-1] @ new_weights + centered_bias
-        new_residual = Yc - new_preds
-        new_sse = float(np.sum(new_residual * new_residual))
-
-        if new_sse > sse:
-            # Ill-conditioned solve made things worse; the previous solution
-            # with zero weight on the new center is still feasible, keep it.
-            weights = np.vstack([weights, np.zeros((1, m))])
-        else:
-            weights, bias = new_weights, new_bias
-            residual, sse = new_residual, new_sse
-        sse_history.append(sse)
-        stage_params.append((weights.copy(), bias.copy()))
-
-        # Orthogonalize the accepted column against the basis (second pass
-        # for stability); columns already in span add no new direction.
-        v = column - B.T @ P[:, idx]
-        v -= B.T @ (B @ v)
+        r = B @ column
+        v = column - B.T @ r
+        s = B @ v
+        v -= B.T @ s
+        r += s
+        R[:n_basis, k] = r
         norm = float(np.linalg.norm(v))
-        if norm > 1e-10 * float(np.linalg.norm(column)) and n_basis <= max_centers:
-            pending = v / norm
-            basis[n_basis] = pending
+        # A column already in the span opens no basis row and leaves the
+        # residual unchanged; the minimum-norm solve below sets its weight.
+        spans = norm <= 1e-10 * float(np.linalg.norm(column))
+        in_span.append(spans)
+        if not spans:
+            q = v / norm
+            basis[n_basis] = q
+            R[n_basis, k] = norm
+            coef[n_basis] = q @ residual  # == q @ Yc: q is orthogonal to what was removed
+            residual -= np.outer(q, coef[n_basis])
+            n_basis += 1
+            pending = True
+            sse = float(np.sum(residual * residual))
+        sse_history.append(sse)
+
+        # Same minimum-norm least-squares solution as the n-row design
+        # [columns | ones] against Yc, since Q has orthonormal columns, but on
+        # n_basis <= k + 2 rows.
+        small = np.column_stack([R[:n_basis, :k + 1], R[:n_basis, max_centers]])
+        weights, centered_bias = solve_output_weights(small, coef[:n_basis])
+        bias = centered_bias + target_means
+        stage_params.append((weights, bias))
 
     if sse <= config.sse_goal:
         stop_reason = "sse_goal"
@@ -412,6 +435,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         stage_params=stage_params,
         selected_indices=chosen,
         stop_reason=stop_reason,
+        in_span=in_span,
     )
     return net, trace
 

@@ -87,6 +87,16 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config"]["trajectory"]["n_samples"] == 16
 
+    def test_noisy_manifest_replays_byte_identical(self, tmp_path):
+        first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+        assert main(["generate", "--samples", "64", "--noisy", "--seed", "7",
+                     "--out", str(first), "--out-dir", str(tmp_path)]) == 0
+        assert main(["generate", "--config", str(tmp_path / "first.manifest.json"),
+                     "--out", str(replay), "--out-dir", str(tmp_path)]) == 0
+        assert replay.read_bytes() == first.read_bytes()
+        manifest = json.loads((tmp_path / "replay.manifest.json").read_text())
+        assert manifest["config"]["noisy"] is True
+
 
 class TestBench:
     def test_single_cell_pairing(self, tmp_path, small_config):
@@ -228,6 +238,7 @@ class TestExitCodes:
         ("generate", {"trajectory": {"dt": 0.5}}, "trajectory.n_samples"),
         ("generate", {"noise": {"seed": [1]}}, "noise.seed"),
         ("bench", {"bench": {"nnsize": "5"}}, "bench.nnsize"),
+        ("generate", {"noisy": "yes"}, "noisy"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -237,6 +248,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("gpsdenoise: error:") and key in err[0]
+
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        rc = main(["generate", "--config", str(missing), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("gpsdenoise: error:") and str(missing) in err[0]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

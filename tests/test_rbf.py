@@ -254,6 +254,7 @@ class TestTrain:
         assert len(trace.sse_history) <= cfg.max_neurons + 1
         assert len(trace.sse_history) == net.n_centers + 1
         assert len(trace.stage_params) == len(trace.sse_history)
+        assert len(trace.in_span) == net.n_centers
         assert trace.teaching_outputs.shape == Y.shape
 
     def test_stage_network_reconstruction(self):
@@ -283,6 +284,73 @@ class TestTrain:
             TrainConfig(sse_goal=0.0, max_neurons=0, spread=1.0)
         with pytest.raises(ValueError):
             TrainConfig(sse_goal=0.0, max_neurons=5, spread=0.0)
+
+
+def _design(X, centers, spread):
+    """Oracle design [activations | ones], built without the library."""
+    dist2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return np.column_stack([np.exp(-dist2 / spread**2), np.ones(X.shape[0])])
+
+
+def _well_conditioned_runs(count=20):
+    """Trained random problems whose final design has condition number <= 1e3."""
+    rng = np.random.default_rng(8080)
+    runs = []
+    while len(runs) < count:
+        n = int(rng.integers(20, 60))
+        d = int(rng.integers(1, 3))
+        X = rng.uniform(0.0, 1.0, (n, d))
+        Y = rng.normal(0.0, 1.0, (n, int(rng.integers(1, 4))))
+        cfg = TrainConfig(sse_goal=0.0, max_neurons=int(rng.integers(2, 9)),
+                          spread=float(rng.uniform(0.1, 0.3)))
+        net, trace = train(X, Y, cfg)
+        if np.linalg.cond(_design(X, net.centers, cfg.spread)) <= 1e3:
+            runs.append((X, Y, cfg, net, trace))
+    return runs
+
+
+class TestOrthogonalLeastSquares:
+    """The incrementally factorised trainer against dense n-row oracles."""
+
+    def test_final_weights_match_full_design_solve(self):
+        for X, Y, cfg, net, trace in _well_conditioned_runs():
+            weights, bias = solve_output_weights(_design(X, net.centers, cfg.spread), Y)
+            assert np.max(np.abs(net.output_weights - weights)) <= 1e-8
+            assert np.max(np.abs(net.output_bias - bias)) <= 1e-8
+            assert not any(trace.in_span)
+
+    def test_each_stage_drop_equals_its_score(self):
+        # the score of a candidate is the SSE drop of adding its column to the
+        # previous stage's design: |c_perp . r|^2 / |c_perp|^2, here from a
+        # fresh QR of that design
+        for X, Y, cfg, _, trace in _well_conditioned_runs():
+            acts = _design(X, X, cfg.spread)[:, :-1]
+            history = trace.sse_history
+            for k, idx in enumerate(trace.selected_indices):
+                prev = trace.selected_indices[:k]
+                Q, _ = np.linalg.qr(np.column_stack([np.ones(X.shape[0]), acts[:, prev]]))
+                resid = Y - Q @ (Q.T @ Y)
+                perp = acts - Q @ (Q.T @ acts)
+                scores = (((perp.T @ resid) ** 2).sum(axis=1)
+                          / np.maximum((perp ** 2).sum(axis=0), 1e-300))
+                scores[prev] = 0.0
+                drop = history[k] - history[k + 1]
+                assert abs(drop - scores[idx]) <= 1e-9 * scores[idx]
+                assert scores[idx] >= (1.0 - 1e-9) * scores.max()
+
+    def test_in_span_flags_the_zero_drop_stages(self):
+        # conventional cell nnsize 100, spread 100 on the default signal: most
+        # late columns lie in the span of the earlier ones
+        from gpsdenoise.pipeline import DEFAULT_NOISE, DEFAULT_TRAJECTORY
+        from gpsdenoise.signal import add_noise, generate_trajectory
+
+        noisy = add_noise(generate_trajectory(DEFAULT_TRAJECTORY), DEFAULT_NOISE)
+        _, trace = train(noisy.timestamps[:, None], noisy.samples,
+                         TrainConfig(sse_goal=1e-6, max_neurons=100, spread=100.0))
+        zero_drop = np.diff(trace.sse_history) == 0
+        assert len(trace.in_span) == len(trace.selected_indices) == 100
+        assert sum(trace.in_span) > 0
+        assert np.array_equal(trace.in_span, zero_drop)
 
 
 def _grid(n, dt=0.1):

@@ -18,19 +18,13 @@ from .bandfilter import (
     BandComponent,
     BandSpec,
     decompose,
-    default_band_spec,
-    read_component,
     select_band,
-    write_component,
 )
 from .rbf import (
     RbfNetwork,
     TrainConfig,
     TrainTrace,
     forward,
-    gaussian_activation,
-    load_network,
-    save_network,
     solve_output_weights,
     train,
 )
@@ -68,23 +62,17 @@ __all__ = [
     "add_noise",
     "build_grid",
     "decompose",
-    "default_band_spec",
     "emit_plot_data",
     "forward",
-    "gaussian_activation",
     "generate_trajectory",
-    "load_network",
     "method_pair",
     "mse",
-    "read_component",
     "read_series",
     "run_method",
     "run_table",
-    "save_network",
     "select_band",
     "solve_output_weights",
     "train",
-    "write_component",
     "write_plot_data",
     "write_report",
     "write_series",

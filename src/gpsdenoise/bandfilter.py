@@ -6,14 +6,12 @@ back to the original signal and are mutually orthogonal.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .signal import PositionSeries, SeriesFormatError, read_series, write_series
+from .signal import PositionSeries
 
 BAND_NAMES = ("low", "mid", "high")
 
@@ -57,12 +55,6 @@ class BandDecomposition(NamedTuple):
     high: BandComponent
 
 
-def default_band_spec(series: PositionSeries) -> BandSpec:
-    """Documented default cutoffs: Nyquist/8 and 3*Nyquist/8."""
-    nyq = series.nyquist
-    return BandSpec(low_cutoff=nyq / 8.0, high_cutoff=3.0 * nyq / 8.0)
-
-
 def _validate(series: PositionSeries, spec: BandSpec) -> float:
     if len(series) < 2:
         raise ValueError("band decomposition needs at least two samples")
@@ -103,34 +95,3 @@ def select_band(series: PositionSeries, band: str, spec: BandSpec) -> BandCompon
     if band not in BAND_NAMES:
         raise ValueError(f"band must be one of {BAND_NAMES}, got '{band}'")
     return getattr(decompose(series, spec), band)
-
-
-_SIDECAR_RE = re.compile(
-    r"#\s*band=(?P<band>low|mid|high)\s+low_cutoff=(?P<low>\S+)\s+high_cutoff=(?P<high>\S+)\s*$"
-)
-
-
-def write_component(component: BandComponent, path: str | Path) -> None:
-    """Write a band component: series CSV plus a sidecar metadata comment."""
-    sidecar = (
-        f"band={component.band} low_cutoff={component.spec.low_cutoff!r} "
-        f"high_cutoff={component.spec.high_cutoff!r}"
-    )
-    write_series(component.series, path, sidecar=sidecar)
-
-
-def read_component(path: str | Path) -> BandComponent:
-    """Read back a band component written by write_component."""
-    match = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                match = _SIDECAR_RE.match(line.strip())
-                if match:
-                    break
-            else:
-                break
-    if match is None:
-        raise SeriesFormatError("missing band sidecar comment", line=1)
-    spec = BandSpec(float(match.group("low")), float(match.group("high")))
-    return BandComponent(match.group("band"), spec, read_series(path))

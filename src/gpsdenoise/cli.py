@@ -1,8 +1,10 @@
 """Command-line entry point: generate, bench, plot-data.
 
-Every command materializes its full configuration into a JSON manifest
-next to its outputs; a manifest can be fed back through --config to rerun
-the exact same computation. Explicit flags always override --config values.
+Every setting resolves the same way: an explicit flag wins over the
+--config value, which wins over the default. Every command writes the
+resolved settings into a JSON manifest next to its outputs, under the keys
+the config readers read, so the manifest fed back through --config reruns
+the exact same computation.
 
 Exit codes: 0 success, 2 invalid flags or configuration, 1 runtime failure.
 """
@@ -43,35 +45,23 @@ from .signal import (
 )
 
 
-def _trajectory_to_dict(cfg: TrajectoryConfig) -> dict:
-    return {
-        "n_samples": cfg.n_samples,
-        "dt": cfg.dt,
-        "sinusoids": [
-            [[s.amplitude, s.frequency, s.phase] for s in comp] for comp in cfg.sinusoids
-        ],
-        "drift": list(cfg.drift),
-        "offset": list(cfg.offset),
-    }
-
-
 _REQUIRED = object()
 
 
-def _config_section(filecfg: dict, name: str) -> dict:
-    doc = filecfg.get(name, {})
-    if not isinstance(doc, dict):
-        raise ValueError(f"config key '{name}' must be a JSON object, got {doc!r}")
-    return doc
+def _config_value(cfg: dict, path: str, cast, default=_REQUIRED):
+    """Read the config value at dotted `path`, e.g. "trajectory.n_samples", through `cast`.
 
-
-def _config_value(doc: dict, path: str, cast, default=_REQUIRED):
-    """Read the config value at dotted `path` (its last part keys `doc`) through `cast`.
-
-    A missing required value, or one that `cast` rejects, raises a
-    ValueError naming the key, which the CLI reports as a usage error.
+    Every section on the way must be a JSON object. A missing required
+    value, or one that `cast` rejects, raises a ValueError naming the key,
+    which the CLI reports as a usage error.
     """
-    key = path.rsplit(".", 1)[-1]
+    *sections, key = path.split(".")
+    doc = cfg
+    for depth, name in enumerate(sections, start=1):
+        doc = doc.get(name, {})
+        if not isinstance(doc, dict):
+            section = ".".join(sections[:depth])
+            raise ValueError(f"config key '{section}' must be a JSON object, got {doc!r}")
     if key not in doc:
         if default is _REQUIRED:
             raise ValueError(f"config key '{path}' is missing")
@@ -80,6 +70,13 @@ def _config_value(doc: dict, path: str, cast, default=_REQUIRED):
         return cast(doc[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config key '{path}' has invalid value {doc[key]!r}: {exc}") from None
+
+
+def _setting(flag, cfg: dict, path: str, cast, default=_REQUIRED):
+    """An explicit flag wins over the config value, which wins over the default."""
+    if flag is not None:
+        return flag
+    return _config_value(cfg, path, cast, default)
 
 
 def _list_of(cast):
@@ -97,18 +94,14 @@ def _boolean(value) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
 def _sinusoids(value) -> tuple[tuple[Sinusoid, ...], ...]:
     return tuple(tuple(Sinusoid(*_list_of(float)(s)) for s in comp) for comp in value)
-
-
-def _trajectory_from_dict(doc: dict) -> TrajectoryConfig:
-    return TrajectoryConfig(
-        n_samples=_config_value(doc, "trajectory.n_samples", int),
-        dt=_config_value(doc, "trajectory.dt", float),
-        sinusoids=_config_value(doc, "trajectory.sinusoids", _sinusoids, ((), (), ())),
-        drift=tuple(_config_value(doc, "trajectory.drift", _list_of(float), [0.0, 0.0, 0.0])),
-        offset=tuple(_config_value(doc, "trajectory.offset", _list_of(float), [0.0, 0.0, 0.0])),
-    )
 
 
 def _load_config(path: str | None) -> dict:
@@ -126,20 +119,27 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve_common(args, filecfg: dict) -> tuple[TrajectoryConfig, NoiseConfig, BandSpec]:
+def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
+                    sigma=None) -> tuple[TrajectoryConfig, NoiseConfig, BandSpec]:
     trajectory = DEFAULT_TRAJECTORY
-    if "trajectory" in filecfg:
-        trajectory = _trajectory_from_dict(_config_section(filecfg, "trajectory"))
+    if "trajectory" in cfg:
+        trajectory = TrajectoryConfig(
+            n_samples=_config_value(cfg, "trajectory.n_samples", _integer),
+            dt=_config_value(cfg, "trajectory.dt", float),
+            sinusoids=_config_value(cfg, "trajectory.sinusoids", _sinusoids, ((), (), ())),
+            drift=tuple(_config_value(cfg, "trajectory.drift", _list_of(float), [0.0] * 3)),
+            offset=tuple(_config_value(cfg, "trajectory.offset", _list_of(float), [0.0] * 3)),
+        )
     overrides = {}
-    if getattr(args, "samples", None) is not None:
-        overrides["n_samples"] = args.samples
-    if getattr(args, "dt", None) is not None and args.dt != trajectory.dt:
+    if samples is not None:
+        overrides["n_samples"] = samples
+    if dt is not None and dt != trajectory.dt:
         # a dt override stretches the time axis: every sinusoid keeps its
         # cycles-per-sample position, so the shape stays below Nyquist
-        if args.dt <= 0:
-            raise ValueError(f"dt must be positive, got {args.dt}")
-        scale = trajectory.dt / args.dt
-        overrides["dt"] = args.dt
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        scale = trajectory.dt / dt
+        overrides["dt"] = dt
         overrides["sinusoids"] = tuple(
             tuple(Sinusoid(s.amplitude, s.frequency * scale, s.phase) for s in comp)
             for comp in trajectory.sinusoids
@@ -148,37 +148,45 @@ def _resolve_common(args, filecfg: dict) -> tuple[TrajectoryConfig, NoiseConfig,
     if overrides:
         trajectory = dataclasses.replace(trajectory, **overrides)
 
-    noise_doc = _config_section(filecfg, "noise")
-    sigma = _config_value(noise_doc, "noise.sigma", float, DEFAULT_NOISE.sigma)
-    seed = _config_value(noise_doc, "noise.seed", int, DEFAULT_SEED)
-    if getattr(args, "sigma", None) is not None:
-        sigma = args.sigma
-    if args.seed is not None:
-        seed = args.seed
-    noise = NoiseConfig(sigma=sigma, seed=seed)
-
-    band_doc = _config_section(filecfg, "band_spec")
+    noise = NoiseConfig(
+        sigma=_setting(sigma, cfg, "noise.sigma", float, DEFAULT_NOISE.sigma),
+        seed=_setting(seed, cfg, "noise.seed", _integer, DEFAULT_SEED),
+    )
     band_spec = BandSpec(
-        low_cutoff=_config_value(band_doc, "band_spec.low_cutoff", float,
+        low_cutoff=_config_value(cfg, "band_spec.low_cutoff", float,
                                  DEFAULT_BAND_SPEC.low_cutoff),
-        high_cutoff=_config_value(band_doc, "band_spec.high_cutoff", float,
+        high_cutoff=_config_value(cfg, "band_spec.high_cutoff", float,
                                   DEFAULT_BAND_SPEC.high_cutoff),
     )
     return trajectory, noise, band_spec
 
 
-def _manifest(command: str, config: dict, seeds: dict) -> dict:
-    return {
+def _to_json(value):
+    if isinstance(value, TrajectoryConfig):
+        # sinusoids as [amplitude, frequency, phase] lists, the form _sinusoids reads
+        sinusoids = [[[s.amplitude, s.frequency, s.phase] for s in comp]
+                     for comp in value.sinusoids]
+        return dict(dataclasses.asdict(value), sinusoids=sinusoids)
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    return value
+
+
+def _write_manifest(path: Path, command: str, config: dict, **extra) -> None:
+    """Write a run's resolved settings under the keys the config readers read.
+
+    Fed back through --config, the manifest reruns the same computation.
+    """
+    config = {key: _to_json(value) for key, value in config.items()}
+    doc = {
         "tool": "gpsdenoise",
         "tool_version": __version__,
         "command": command,
         "platform": f"{platform.platform()} python-{platform.python_version()}",
-        "seeds": seeds,
+        "seeds": {"noise": config["noise"]["seed"]},
         "config": config,
+        **extra,
     }
-
-
-def _write_manifest(doc: dict, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="ascii")
 
 
@@ -189,13 +197,21 @@ def _csv_list(text: str, cast) -> list:
         raise argparse.ArgumentTypeError(f"malformed list: '{text}'") from None
 
 
+def _check_names(kind: str, names: list, allowed: tuple) -> None:
+    if not names:
+        raise ValueError(f"no {kind} given (use {', '.join(allowed)})")
+    for name in names:
+        if name not in allowed:
+            raise ValueError(f"unknown {kind} '{name}' (use {', '.join(allowed)})")
+
+
 def cmd_generate(args) -> int:
-    filecfg = _load_config(args.config)
-    trajectory, noise, _ = _resolve_common(args, filecfg)
+    cfg = _load_config(args.config)
+    trajectory, noise, _ = _resolve_common(cfg, args.seed, args.samples, args.dt, args.sigma)
+    noisy = _setting(args.noisy, cfg, "noisy", _boolean, False)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.out) if args.out else out_dir / "series.csv"
-    noisy = args.noisy or _config_value(filecfg, "noisy", _boolean, False)
 
     series = generate_trajectory(trajectory)
     if noisy:
@@ -203,74 +219,57 @@ def cmd_generate(args) -> int:
 
         series = add_noise(series, noise)
     write_series(series, out)
-    _write_manifest(
-        _manifest(
-            "generate",
-            {"trajectory": _trajectory_to_dict(trajectory),
-             "noise": {"sigma": noise.sigma, "seed": noise.seed},
-             "noisy": noisy},
-            {"noise": noise.seed},
-        ),
-        out.with_suffix(".manifest.json"),
-    )
+    _write_manifest(out.with_suffix(".manifest.json"), "generate",
+                    {"trajectory": trajectory, "noise": noise, "noisy": noisy})
     print(out)
     return 0
 
 
 def cmd_bench(args) -> int:
-    filecfg = _load_config(args.config)
-    trajectory, noise, band_spec = _resolve_common(args, filecfg)
-    bench_doc = _config_section(filecfg, "bench")
-
-    def setting(flag, key, cast, default):
-        if flag is not None:
-            return flag
-        return _config_value(bench_doc, f"bench.{key}", cast, default)
-
-    nnsize = setting(args.nnsize, "nnsize", _list_of(int), [50, 100])
-    spread = setting(args.spread, "spread", _list_of(float), [30.0, 50.0, 100.0])
-    sse = setting(args.sse, "sse", _list_of(float), [1e-6])
-    bands = setting(args.filter, "filter", _list_of(str), ["low"])
-    repeats = setting(args.repeats, "repeats", int, 5)
-
-    for band in bands:
-        if band not in BAND_NAMES + ("none",):
-            raise ValueError(f"unknown filter '{band}' (use none, low, mid or high)")
+    cfg = _load_config(args.config)
+    trajectory, noise, band_spec = _resolve_common(cfg, args.seed)
+    bench = {
+        "nnsize": _setting(args.nnsize, cfg, "bench.nnsize", _list_of(_integer), [50, 100]),
+        "spread": _setting(args.spread, cfg, "bench.spread", _list_of(float), [30.0, 50.0, 100.0]),
+        "sse": _setting(args.sse, cfg, "bench.sse", _list_of(float), [1e-6]),
+        "filter": _setting(args.filter, cfg, "bench.filter", _list_of(str), ["low"]),
+        "repeats": _setting(args.repeats, cfg, "bench.repeats", _integer, 5),
+    }
+    _check_names("filter", bench["filter"], ("none",) + BAND_NAMES)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(nnsize, spread, sse, bands, band_spec, noise, trajectory)
-    results = run_table(grid, repeats=repeats)
+    grid = build_grid(bench["nnsize"], bench["spread"], bench["sse"], bench["filter"],
+                      band_spec, noise, trajectory)
+    results = run_table(grid, repeats=bench["repeats"])
 
     report_path = out_dir / args.report
     write_report(results, report_path)
-    config = {
-        "trajectory": _trajectory_to_dict(trajectory),
-        "noise": {"sigma": noise.sigma, "seed": noise.seed},
-        "band_spec": {"low_cutoff": band_spec.low_cutoff, "high_cutoff": band_spec.high_cutoff},
-        "bench": {"nnsize": list(nnsize), "spread": [float(s) for s in spread],
-                  "sse": [float(s) for s in sse], "filter": list(bands),
-                  "repeats": int(repeats)},
-    }
-    _write_manifest(
-        _manifest("bench", config, {"noise": noise.seed}),
-        out_dir / "bench_manifest.json",
-    )
+    _write_manifest(out_dir / "bench_manifest.json", "bench",
+                    {"trajectory": trajectory, "noise": noise, "band_spec": band_spec,
+                     "bench": bench})
     print(report_path)
     return 0
 
 
 def cmd_plot_data(args) -> int:
-    filecfg = _load_config(args.config)
-    trajectory, noise, band_spec = _resolve_common(args, filecfg)
+    cfg = _load_config(args.config)
+    trajectory, noise, band_spec = _resolve_common(cfg, args.seed)
+    plot = {
+        "component": _setting(args.component, cfg, "plot-data.component", _list_of(str),
+                              list(COMPONENTS)),
+        "filter": _setting(args.filter, cfg, "plot-data.filter", str, "none"),
+        "nnsize": _setting(args.nnsize, cfg, "plot-data.nnsize", _integer,
+                           DEFAULT_TRAIN.max_neurons),
+        "spread": _setting(args.spread, cfg, "plot-data.spread", float, DEFAULT_TRAIN.spread),
+        "sse": _setting(args.sse, cfg, "plot-data.sse", float, DEFAULT_TRAIN.sse_goal),
+    }
+    _check_names("component", plot["component"], COMPONENTS)
+    _check_names("filter", [plot["filter"]], ("none",) + BAND_NAMES)
 
-    components = args.component
-    for comp in components:
-        if comp not in COMPONENTS:
-            raise ValueError(f"unknown component '{comp}' (use north, east or alt)")
-
-    train_cfg = TrainConfig(sse_goal=args.sse, max_neurons=args.nnsize, spread=args.spread)
-    band = None if args.filter in (None, "none") else args.filter
+    train_cfg = TrainConfig(sse_goal=plot["sse"], max_neurons=plot["nnsize"],
+                            spread=plot["spread"])
+    band = None if plot["filter"] == "none" else plot["filter"]
     method = "improved" if band else "conventional"
     config = MethodConfig(
         method=method, train=train_cfg, noise=noise, trajectory=trajectory,
@@ -282,28 +281,20 @@ def cmd_plot_data(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = method if band is None else f"{method}_{band}"
     written = []
-    for comp in components:
+    for comp in plot["component"]:
         path = out_dir / f"plot_{tag}_{comp}.csv"
         write_plot_data(emit_plot_data(result, comp), path)
         written.append(path)
 
-    manifest_config = {
-        "trajectory": _trajectory_to_dict(trajectory),
-        "noise": {"sigma": noise.sigma, "seed": noise.seed},
-        "band_spec": {"low_cutoff": band_spec.low_cutoff, "high_cutoff": band_spec.high_cutoff},
-        "method": method,
-        "band": band,
-        "train": {"sse_goal": train_cfg.sse_goal, "max_neurons": train_cfg.max_neurons,
-                  "spread": train_cfg.spread},
-        "components": list(components),
-    }
-    doc = _manifest("plot-data", manifest_config, {"noise": noise.seed})
-    doc["metrics"] = {
-        "output_mse": result.output_mse,
-        "final_sse": result.final_sse,
-        "neurons_used": result.neurons_used,
-    }
-    _write_manifest(doc, out_dir / f"plot_{tag}_manifest.json")
+    _write_manifest(
+        out_dir / f"plot_{tag}_manifest.json", "plot-data",
+        {"trajectory": trajectory, "noise": noise, "band_spec": band_spec, "plot-data": plot},
+        metrics={
+            "output_mse": result.output_mse,
+            "final_sse": result.final_sse,
+            "neurons_used": result.neurons_used,
+        },
+    )
     for path in written:
         print(path)
     return 0
@@ -327,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--samples", type=int, default=None, help="number of samples")
     g.add_argument("--dt", type=float, default=None, help="sample step in seconds")
     g.add_argument("--sigma", type=float, default=None, help="noise sigma (with --noisy)")
-    g.add_argument("--noisy", action="store_true",
+    g.add_argument("--noisy", action="store_true", default=None,
                    help="add seeded noise to the output (also set by a config's \"noisy\": true)")
     g.add_argument("--out", default=None, help="output CSV path")
     g.set_defaults(func=cmd_generate)
@@ -349,14 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot-data", help="run one method and export plot columns")
     add_common(p)
-    p.add_argument("--component", type=lambda s: _csv_list(s, str),
-                   default=list(COMPONENTS),
-                   help="comma-separated components: north,east,alt")
+    p.add_argument("--component", type=lambda s: _csv_list(s, str), default=None,
+                   help="comma-separated components: north,east,alt (default all three)")
     p.add_argument("--filter", default=None, choices=("none",) + BAND_NAMES,
-                   help="band for the improved method; none = conventional")
-    p.add_argument("--nnsize", type=int, default=DEFAULT_TRAIN.max_neurons)
-    p.add_argument("--spread", type=float, default=DEFAULT_TRAIN.spread)
-    p.add_argument("--sse", type=float, default=DEFAULT_TRAIN.sse_goal)
+                   help="band for the improved method; none (default) = conventional")
+    p.add_argument("--nnsize", type=int, default=None,
+                   help=f"neuron budget (default {DEFAULT_TRAIN.max_neurons})")
+    p.add_argument("--spread", type=float, default=None,
+                   help=f"spread constant (default {DEFAULT_TRAIN.spread:g})")
+    p.add_argument("--sse", type=float, default=None,
+                   help=f"SSE goal (default {DEFAULT_TRAIN.sse_goal:g})")
     p.set_defaults(func=cmd_plot_data)
     return parser
 

@@ -16,24 +16,13 @@ DenseKernel, which holds the full matrix.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 # Relative singular-value threshold for the rank-revealing least-squares
 # solve; nearly collinear activation columns degrade gracefully.
 _LSTSQ_RCOND = 1e-12
-
-
-def gaussian_activation(distance, spread):
-    """Gaussian kernel exp(-(distance/spread)^2); accepts scalars or arrays."""
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
-    d = np.asarray(distance, dtype=np.float64)
-    out = np.exp(-np.square(d / spread))
-    return float(out) if np.isscalar(distance) or d.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -45,12 +34,12 @@ class TrainConfig:
     spread: float
 
     def __post_init__(self):
-        if self.sse_goal < 0:
+        if not self.sse_goal >= 0:
             raise ValueError(f"sse_goal must be >= 0, got {self.sse_goal}")
         if self.max_neurons < 1:
             raise ValueError(f"max_neurons must be >= 1, got {self.max_neurons}")
-        if self.spread <= 0:
-            raise ValueError(f"spread must be positive, got {self.spread}")
+        if not 0 < self.spread < np.inf:
+            raise ValueError(f"spread must be positive and finite, got {self.spread}")
 
 
 @dataclass(frozen=True)
@@ -448,30 +437,4 @@ def stage_network(net: RbfNetwork, trace: TrainTrace, stage: int) -> RbfNetwork:
         spread=net.spread,
         output_weights=weights,
         output_bias=bias,
-    )
-
-
-def save_network(net: RbfNetwork, path: str | Path) -> None:
-    """Serialize a network to JSON with exact float64 round-trip precision."""
-    doc = {
-        "input_dim": net.input_dim,
-        "output_dim": net.output_dim,
-        "spread": net.spread,
-        "centers": net.centers.tolist(),
-        "output_weights": net.output_weights.tolist(),
-        "output_bias": net.output_bias.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="ascii")
-
-
-def load_network(path: str | Path) -> RbfNetwork:
-    doc = json.loads(Path(path).read_text(encoding="ascii"))
-    k = len(doc["centers"])
-    centers = np.asarray(doc["centers"], dtype=np.float64).reshape(k, doc["input_dim"])
-    weights = np.asarray(doc["output_weights"], dtype=np.float64).reshape(k, doc["output_dim"])
-    return RbfNetwork(
-        centers=centers,
-        spread=float(doc["spread"]),
-        output_weights=weights,
-        output_bias=np.asarray(doc["output_bias"], dtype=np.float64),
     )

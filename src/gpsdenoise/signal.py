@@ -184,16 +184,9 @@ def _format_row(values: Sequence[float]) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def write_series(series: PositionSeries, path: str | Path, sidecar: str | None = None) -> None:
-    """Write a series as CSV with full float64 precision.
-
-    Optionally prepends a single '#'-prefixed sidecar comment line that
-    read_series will skip.
-    """
-    lines = []
-    if sidecar is not None:
-        lines.append(f"# {sidecar}")
-    lines.append(SERIES_HEADER)
+def write_series(series: PositionSeries, path: str | Path) -> None:
+    """Write a series as CSV with full float64 precision."""
+    lines = [SERIES_HEADER]
     for t, row in zip(series.timestamps, series.samples):
         lines.append(_format_row((t, row[0], row[1], row[2])))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

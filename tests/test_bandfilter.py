@@ -6,12 +6,9 @@ from gpsdenoise.bandfilter import (
     BandComponent,
     BandSpec,
     decompose,
-    default_band_spec,
-    read_component,
     select_band,
-    write_component,
 )
-from gpsdenoise.signal import PositionSeries, SeriesFormatError
+from gpsdenoise.signal import PositionSeries
 
 
 def _series(samples, dt=1.0):
@@ -36,12 +33,6 @@ class TestBandSpec:
     def test_rejects_zero_low(self):
         with pytest.raises(ValueError):
             BandSpec(0.0, 0.2)
-
-    def test_default_spec_fractions(self):
-        s = _random_series(0, 64, dt=1.0)  # nyquist 0.5
-        spec = default_band_spec(s)
-        assert spec.low_cutoff == pytest.approx(0.5 / 8)
-        assert spec.high_cutoff == pytest.approx(3 * 0.5 / 8)
 
     def test_cutoff_must_be_below_nyquist_of_series(self):
         s = _random_series(1, 32, dt=1.0)
@@ -163,31 +154,6 @@ class TestSelectBand:
 
 
 class TestComponentIO:
-    def test_roundtrip_with_sidecar(self, tmp_path):
-        s = _random_series(30, 40)
-        comp = select_band(s, "mid", BandSpec(0.1, 0.3))
-        path = tmp_path / "mid.csv"
-        write_component(comp, path)
-        out = read_component(path)
-        assert out.band == "mid"
-        assert out.spec == comp.spec
-        assert np.max(np.abs(out.series.samples - comp.series.samples)) <= 1e-12
-
-    def test_sidecar_is_comment_first_line(self, tmp_path):
-        s = _random_series(31, 16)
-        comp = select_band(s, "low", BandSpec(0.1, 0.3))
-        path = tmp_path / "low.csv"
-        write_component(comp, path)
-        first = path.read_text().splitlines()[0]
-        assert first.startswith("# band=low ")
-        assert "low_cutoff=0.1" in first and "high_cutoff=0.3" in first
-
-    def test_missing_sidecar(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        path.write_text("t,north,east,alt\n0.0,1,2,3\n1.0,1,2,3\n")
-        with pytest.raises(SeriesFormatError, match="sidecar"):
-            read_component(path)
-
     def test_invalid_band_component(self):
         s = _random_series(32, 8)
         with pytest.raises(ValueError, match="band"):

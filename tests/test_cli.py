@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 import hashlib
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +197,36 @@ class TestPlotData:
         assert (tmp_path / "plot_conventional_north.csv").exists()
 
 
+# One run per command; the {config} placeholder is the small config file.
+REPLAY_RUNS = {
+    "generate": ["generate", "--samples", "64", "--noisy", "--seed", "7"],
+    "bench": ["bench", "--config", "{config}", "--nnsize", "8", "--spread", "10",
+              "--sse", "1e-6", "--filter", "low", "--repeats", "1"],
+    "plot-data": ["plot-data", "--config", "{config}", "--filter", "low", "--nnsize", "5",
+                  "--component", "north"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_RUNS))
+def test_manifest_replays_its_run(tmp_path, small_config, command):
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    argv = [arg.format(config=small_config) for arg in REPLAY_RUNS[command]]
+    assert main(argv + ["--out-dir", str(dir_a)]) == 0
+    (manifest,) = dir_a.glob("*manifest.json")
+    assert main([command, "--config", str(manifest), "--out-dir", str(dir_b)]) == 0
+
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert sorted(p.name for p in dir_b.iterdir()) == names
+    for name in names:
+        a, b = (d.joinpath(name).read_text() for d in (dir_a, dir_b))
+        if name.endswith("manifest.json"):
+            a, b = json.loads(a), json.loads(b)
+            del a["platform"], b["platform"]
+        elif name == "report.csv":
+            a, b = _strip_timing(a), _strip_timing(b)
+        assert a == b, name
+
+
 class TestConfigPrecedence:
     def test_flags_override_config(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -206,6 +239,20 @@ class TestConfigPrecedence:
         assert rc == 0
         rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[2] == "9" for row in rows)
+
+    def test_plot_data_flags_override_config(self, tmp_path):
+        cfg = dict(SMALL_CONFIG)
+        cfg["plot-data"] = {"component": ["north"], "filter": "low", "nnsize": 5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["plot-data", "--config", str(path), "--component", "east",
+                   "--filter", "none", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["plot_conventional_east.csv", "plot_conventional_manifest.json"]
+        manifest = json.loads((tmp_path / "out" / names[1]).read_text())
+        assert manifest["config"]["plot-data"]["nnsize"] == 5
+        assert manifest["metrics"]["neurons_used"] <= 5
 
     def test_seed_flag_overrides_config(self, tmp_path, small_config):
         rc = main(["generate", "--samples", "16", "--seed", "31415",
@@ -239,6 +286,14 @@ class TestExitCodes:
         ("generate", {"noise": {"seed": [1]}}, "noise.seed"),
         ("bench", {"bench": {"nnsize": "5"}}, "bench.nnsize"),
         ("generate", {"noisy": "yes"}, "noisy"),
+        ("generate", {"noise": {"seed": 1.5}}, "noise.seed"),
+        ("generate", {"trajectory": {"n_samples": 64.0, "dt": 0.5}}, "trajectory.n_samples"),
+        ("bench", {"bench": {"repeats": True}}, "bench.repeats"),
+        ("plot-data", {"plot-data": "low"}, "plot-data"),
+        ("plot-data", {"plot-data": {"nnsize": 2.5}}, "plot-data.nnsize"),
+        ("plot-data", {"plot-data": {"component": []}}, "component"),
+        ("plot-data", {"plot-data": {"filter": "ultra"}}, "filter"),
+        ("plot-data", {"plot-data": {"sse": float("nan")}}, "sse_goal"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -248,6 +303,20 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("gpsdenoise: error:") and key in err[0]
+
+    @pytest.mark.parametrize("argv, word", [
+        (["plot-data", "--component", ""], "component"),
+        (["plot-data", "--sse", "nan"], "sse_goal"),
+        (["plot-data", "--spread", "inf"], "spread"),
+        (["bench", "--spread", "inf"], "spread"),
+    ])
+    def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
+        rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("gpsdenoise: error:") and word in err[0]
+        assert not list(tmp_path.glob("plot_*"))
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -262,3 +331,18 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "gpsdenoise" in capsys.readouterr().out
+
+
+def test_benchmark_patch_points_are_bound():
+    """Every name the benchmark tracer wraps must still be bound where it looks it up.
+
+    The tracer skips a missing name, so its layer would silently read 0.
+    """
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, names in tracer.PATCH_POINTS:
+        module = importlib.import_module(f"gpsdenoise.{mod_name}")
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, f"gpsdenoise.{mod_name} no longer binds {missing}"

@@ -13,10 +13,7 @@ from gpsdenoise.rbf import (
     TrainConfig,
     _greedy_train,
     forward,
-    gaussian_activation,
     kernel_operator,
-    load_network,
-    save_network,
     solve_output_weights,
     stage_network,
     train,
@@ -28,35 +25,6 @@ def _random_problem(seed, n=12, d=2, m=3):
     X = rng.uniform(0.0, 1.0, (n, d))
     Y = rng.normal(0.0, 1.0, (n, m))
     return X, Y
-
-
-class TestGaussianActivation:
-    def test_zero_distance(self):
-        for spread in (0.1, 1.0, 42.0):
-            assert gaussian_activation(0.0, spread) == 1.0
-
-    def test_at_one_spread(self):
-        assert gaussian_activation(3.0, 3.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-    def test_two_over_one(self):
-        assert gaussian_activation(2.0, 1.0) == pytest.approx(math.exp(-4.0), rel=1e-15)
-
-    def test_vectorized(self):
-        d = np.array([0.0, 0.5, 2.0])
-        out = gaussian_activation(d, 2.0)
-        assert np.allclose(out, np.exp(-((d / 2.0) ** 2)), rtol=1e-15)
-
-    def test_rejects_bad_spread(self):
-        with pytest.raises(ValueError):
-            gaussian_activation(1.0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_activation(1.0, -2.0)
-
-    def test_strictly_decreasing_and_continuous(self):
-        d = np.linspace(0.0, 20.0, 4001)
-        v = gaussian_activation(d, 1.0)
-        assert np.all(np.diff(v) < 0)
-        assert np.max(np.abs(np.diff(v))) < 0.02  # no jumps on a fine grid
 
 
 class TestRbfNetwork:
@@ -284,6 +252,11 @@ class TestTrain:
             TrainConfig(sse_goal=0.0, max_neurons=0, spread=1.0)
         with pytest.raises(ValueError):
             TrainConfig(sse_goal=0.0, max_neurons=5, spread=0.0)
+        with pytest.raises(ValueError, match="sse_goal"):
+            TrainConfig(sse_goal=math.nan, max_neurons=5, spread=1.0)
+        for spread in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="spread"):
+                TrainConfig(sse_goal=0.0, max_neurons=5, spread=spread)
 
 
 def _design(X, centers, spread):
@@ -492,23 +465,3 @@ class TestKernelOperator:
         assert peak < 100e6
         assert net.n_centers == 20
         assert np.all(np.diff(trace.sse_history) <= 0)
-
-
-class TestNetworkIO:
-    def test_roundtrip_forward_agreement(self, tmp_path):
-        X, Y = _random_problem(61, n=18, d=2, m=3)
-        net, _ = train(X, Y, TrainConfig(sse_goal=1e-10, max_neurons=9, spread=0.4))
-        path = tmp_path / "net.json"
-        save_network(net, path)
-        loaded = load_network(path)
-        probe = np.random.default_rng(62).uniform(-1, 2, (40, 2))
-        assert np.max(np.abs(forward(net, probe) - forward(loaded, probe))) <= 1e-12
-
-    def test_roundtrip_empty_network(self, tmp_path):
-        net = RbfNetwork(centers=np.zeros((0, 1)), spread=2.0,
-                         output_weights=np.zeros((0, 2)), output_bias=np.array([1.0, -1.0]))
-        path = tmp_path / "net.json"
-        save_network(net, path)
-        loaded = load_network(path)
-        assert loaded.n_centers == 0
-        assert np.array_equal(forward(loaded, np.array([3.0])), [1.0, -1.0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import platform
 import sys
@@ -166,7 +167,7 @@ def _to_json(value):
         # sinusoids as [amplitude, frequency, phase] lists, the form _sinusoids reads
         sinusoids = [[[s.amplitude, s.frequency, s.phase] for s in comp]
                      for comp in value.sinusoids]
-        return dict(dataclasses.asdict(value), sinusoids=sinusoids)
+        return dict(vars(value), sinusoids=sinusoids)
     if dataclasses.is_dataclass(value):
         return dataclasses.asdict(value)
     return value
@@ -300,6 +301,7 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state; building costs ten parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpsdenoise",
@@ -355,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, SeriesFormatError) as exc:

@@ -28,6 +28,7 @@ from .signal import (
     generate_trajectory,
     add_noise,
     mse,
+    write_csv,
 )
 
 METHODS = ("conventional", "improved")
@@ -293,7 +294,4 @@ def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
 
 def write_plot_data(plot: PlotData, path: str | Path) -> None:
     """Write one component's plot rows as CSV."""
-    lines = [PLOT_HEADER]
-    for row in zip(plot.t, plot.original, plot.teaching, plot.learned):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_csv(path, PLOT_HEADER, (plot.t, plot.original, plot.teaching, plot.learned))

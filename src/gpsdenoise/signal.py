@@ -180,16 +180,17 @@ def mse(a: PositionSeries, b: PositionSeries) -> float:
     return float(np.mean(d * d))
 
 
-def _format_row(values: Sequence[float]) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def write_csv(path: str | Path, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns as CSV, each value as the exact repr of its float64."""
+    # one tolist costs far less than converting numpy scalars one at a time
+    rows = np.column_stack(columns).astype(np.float64, copy=False).tolist()
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_series(series: PositionSeries, path: str | Path) -> None:
     """Write a series as CSV with full float64 precision."""
-    lines = [SERIES_HEADER]
-    for t, row in zip(series.timestamps, series.samples):
-        lines.append(_format_row((t, row[0], row[1], row[2])))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_csv(path, SERIES_HEADER, (series.timestamps, series.samples))
 
 
 def read_series(path: str | Path) -> PositionSeries:

@@ -196,6 +196,23 @@ class TestSeriesIO:
         assert np.max(np.abs(out.samples - s.samples)) <= 1e-12
         assert np.max(np.abs(out.timestamps - s.timestamps)) <= 1e-12
 
+    def test_exact_text(self, tmp_path):
+        # every value is written as the shortest repr that reads back bit for bit
+        s = PositionSeries([0.0, 0.5, 1.0], [[1e-300, -0.0, 12345678901234567.0],
+                                             [0.1, -2.5, 3.0],
+                                             [1.0 / 3.0, 1e16, -7.0]])
+        path = tmp_path / "s.csv"
+        write_series(s, path)
+        assert path.read_text() == (
+            "t,north,east,alt\n"
+            "0.0,1e-300,-0.0,1.2345678901234568e+16\n"
+            "0.5,0.1,-2.5,3.0\n"
+            "1.0,0.3333333333333333,1e+16,-7.0\n"
+        )
+        out = read_series(path)
+        assert np.array_equal(out.samples, s.samples)
+        assert np.signbit(out.samples[0, 1])
+
     def test_header_line(self, tmp_path):
         path = tmp_path / "s.csv"
         write_series(_random_series(11, n=4), path)

@@ -48,21 +48,45 @@ from .signal import (
 
 _REQUIRED = object()
 
+# The config schema: every section with its keys, for all three commands
+# alike, so a manifest written by any command loads into any command.
+# None marks a top-level value rather than a section.
+_SCHEMA = {
+    "trajectory": ("n_samples", "dt", "sinusoids", "drift", "offset"),
+    "noise": ("sigma", "seed"),
+    "band_spec": ("low_cutoff", "high_cutoff"),
+    "noisy": None,
+    "bench": ("nnsize", "spread", "sse", "filter", "repeats"),
+    "plot-data": ("component", "filter", "nnsize", "spread", "sse"),
+}
+
+
+def _check_schema(cfg: dict) -> None:
+    """Reject a section or key outside _SCHEMA, and a section that is not an object."""
+    for section, value in cfg.items():
+        if section not in _SCHEMA:
+            raise ValueError(f"unknown config section '{section}' (use {', '.join(_SCHEMA)})")
+        keys = _SCHEMA[section]
+        if keys is None:
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config key '{section}' must be a JSON object, got {value!r}")
+        for key in value:
+            if key not in keys:
+                raise ValueError(f"unknown config key '{section}.{key}' (use {', '.join(keys)})")
+
 
 def _config_value(cfg: dict, path: str, cast, default=_REQUIRED):
     """Read the config value at dotted `path`, e.g. "trajectory.n_samples", through `cast`.
 
-    Every section on the way must be a JSON object. A missing required
-    value, or one that `cast` rejects, raises a ValueError naming the key,
-    which the CLI reports as a usage error.
+    `cfg` has passed _check_schema. A missing required value, or one that
+    `cast` rejects, raises a ValueError naming the key, which the CLI
+    reports as a usage error.
     """
     *sections, key = path.split(".")
     doc = cfg
-    for depth, name in enumerate(sections, start=1):
+    for name in sections:
         doc = doc.get(name, {})
-        if not isinstance(doc, dict):
-            section = ".".join(sections[:depth])
-            raise ValueError(f"config key '{section}' must be a JSON object, got {doc!r}")
     if key not in doc:
         if default is _REQUIRED:
             raise ValueError(f"config key '{path}' is missing")
@@ -101,8 +125,14 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _sinusoids(value) -> tuple[tuple[Sinusoid, ...], ...]:
-    return tuple(tuple(Sinusoid(*_list_of(float)(s)) for s in comp) for comp in value)
+    return tuple(tuple(Sinusoid(*_list_of(_number)(s)) for s in comp) for comp in value)
 
 
 def _load_config(path: str | None) -> dict:
@@ -117,6 +147,7 @@ def _load_config(path: str | None) -> dict:
         doc = doc.get("config", doc)
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    _check_schema(doc)
     return doc
 
 
@@ -126,10 +157,10 @@ def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
     if "trajectory" in cfg:
         trajectory = TrajectoryConfig(
             n_samples=_config_value(cfg, "trajectory.n_samples", _integer),
-            dt=_config_value(cfg, "trajectory.dt", float),
+            dt=_config_value(cfg, "trajectory.dt", _number),
             sinusoids=_config_value(cfg, "trajectory.sinusoids", _sinusoids, ((), (), ())),
-            drift=tuple(_config_value(cfg, "trajectory.drift", _list_of(float), [0.0] * 3)),
-            offset=tuple(_config_value(cfg, "trajectory.offset", _list_of(float), [0.0] * 3)),
+            drift=tuple(_config_value(cfg, "trajectory.drift", _list_of(_number), [0.0] * 3)),
+            offset=tuple(_config_value(cfg, "trajectory.offset", _list_of(_number), [0.0] * 3)),
         )
     overrides = {}
     if samples is not None:
@@ -150,13 +181,13 @@ def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
         trajectory = dataclasses.replace(trajectory, **overrides)
 
     noise = NoiseConfig(
-        sigma=_setting(sigma, cfg, "noise.sigma", float, DEFAULT_NOISE.sigma),
+        sigma=_setting(sigma, cfg, "noise.sigma", _number, DEFAULT_NOISE.sigma),
         seed=_setting(seed, cfg, "noise.seed", _integer, DEFAULT_SEED),
     )
     band_spec = BandSpec(
-        low_cutoff=_config_value(cfg, "band_spec.low_cutoff", float,
+        low_cutoff=_config_value(cfg, "band_spec.low_cutoff", _number,
                                  DEFAULT_BAND_SPEC.low_cutoff),
-        high_cutoff=_config_value(cfg, "band_spec.high_cutoff", float,
+        high_cutoff=_config_value(cfg, "band_spec.high_cutoff", _number,
                                   DEFAULT_BAND_SPEC.high_cutoff),
     )
     return trajectory, noise, band_spec
@@ -231,8 +262,8 @@ def cmd_bench(args) -> int:
     trajectory, noise, band_spec = _resolve_common(cfg, args.seed)
     bench = {
         "nnsize": _setting(args.nnsize, cfg, "bench.nnsize", _list_of(_integer), [50, 100]),
-        "spread": _setting(args.spread, cfg, "bench.spread", _list_of(float), [30.0, 50.0, 100.0]),
-        "sse": _setting(args.sse, cfg, "bench.sse", _list_of(float), [1e-6]),
+        "spread": _setting(args.spread, cfg, "bench.spread", _list_of(_number), [30.0, 50.0, 100.0]),
+        "sse": _setting(args.sse, cfg, "bench.sse", _list_of(_number), [1e-6]),
         "filter": _setting(args.filter, cfg, "bench.filter", _list_of(str), ["low"]),
         "repeats": _setting(args.repeats, cfg, "bench.repeats", _integer, 5),
     }
@@ -262,8 +293,8 @@ def cmd_plot_data(args) -> int:
         "filter": _setting(args.filter, cfg, "plot-data.filter", str, "none"),
         "nnsize": _setting(args.nnsize, cfg, "plot-data.nnsize", _integer,
                            DEFAULT_TRAIN.max_neurons),
-        "spread": _setting(args.spread, cfg, "plot-data.spread", float, DEFAULT_TRAIN.spread),
-        "sse": _setting(args.sse, cfg, "plot-data.sse", float, DEFAULT_TRAIN.sse_goal),
+        "spread": _setting(args.spread, cfg, "plot-data.spread", _number, DEFAULT_TRAIN.spread),
+        "sse": _setting(args.sse, cfg, "plot-data.sse", _number, DEFAULT_TRAIN.sse_goal),
     }
     _check_names("component", plot["component"], COMPONENTS)
     _check_names("filter", [plot["filter"]], ("none",) + BAND_NAMES)
@@ -282,9 +313,9 @@ def cmd_plot_data(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = method if band is None else f"{method}_{band}"
     written = []
-    for comp in plot["component"]:
-        path = out_dir / f"plot_{tag}_{comp}.csv"
-        write_plot_data(emit_plot_data(result, comp), path)
+    for data in emit_plot_data(result, plot["component"]):
+        path = out_dir / f"plot_{tag}_{data.component}.csv"
+        write_plot_data(data, path)
         written.append(path)
 
     _write_manifest(

@@ -90,9 +90,9 @@ class BenchmarkResult:
 
     elapsed_train_seconds is the median over the timed repeats of the
     training call alone; filter_seconds reports the band-selection cost
-    separately (zero for the conventional method). output_mse compares the
-    network output on the training inputs against the clean reference
-    (band-filtered clean reference for the improved method).
+    separately (zero for the conventional method). outputs is the network
+    output on the training inputs; output_mse compares it against the clean
+    reference (band-filtered clean reference for the improved method).
     """
 
     config: MethodConfig
@@ -104,6 +104,7 @@ class BenchmarkResult:
     trace: TrainTrace
     network: RbfNetwork
     inputs: np.ndarray
+    outputs: np.ndarray
     reference: PositionSeries
 
 
@@ -156,8 +157,8 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
         net, trace = train(inputs, targets, config.train)
         times.append(time.perf_counter() - t0)
 
-    preds = forward(net, inputs)
-    output_mse = float(np.mean((preds - reference.samples) ** 2))
+    outputs = forward(net, inputs)
+    output_mse = float(np.mean((outputs - reference.samples) ** 2))
     return BenchmarkResult(
         config=config,
         elapsed_train_seconds=statistics.median(times),
@@ -168,6 +169,7 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
         trace=trace,
         network=net,
         inputs=inputs,
+        outputs=outputs,
         reference=reference,
     )
 
@@ -232,42 +234,41 @@ def run_table(grid: Iterable[tuple[MethodConfig, ...]], repeats: int = 1) -> lis
     return results
 
 
-def emit_plot_data(result: BenchmarkResult, component: str) -> PlotData:
-    """Build the per-sample plot columns for one component.
+def emit_plot_data(result: BenchmarkResult,
+                   components: Sequence[str] = COMPONENTS) -> list[PlotData]:
+    """Build the per-sample plot columns for each requested component, in order.
 
     The teaching column walks the training stages along the sample axis:
     early samples show the bias-only model, late samples the final network,
     mirroring how the fit sharpens as neurons are added. The learned column
-    is the final network evaluated on the training inputs; the original
-    column is the clean evaluation reference.
+    is the final network's output on the training inputs, as run_method
+    computed it; the original column is the clean evaluation reference.
+    Each stage network is solved and evaluated once, for all components.
     """
-    if component not in COMPONENTS:
-        raise ValueError(f"component must be one of {COMPONENTS}, got '{component}'")
-    c = COMPONENTS.index(component)
+    for component in components:
+        if component not in COMPONENTS:
+            raise ValueError(f"component must be one of {COMPONENTS}, got '{component}'")
     inputs = result.inputs
     n = inputs.shape[0]
     n_stages = len(result.trace.sse_history)
     stage_of_sample = np.minimum((np.arange(n) * n_stages) // n, n_stages - 1)
-    teaching = np.empty(n)
+    teaching = np.empty_like(result.outputs)
     for stage in np.unique(stage_of_sample):
         mask = stage_of_sample == stage
         subnet = stage_network(result.network, result.trace, int(stage))
-        teaching[mask] = forward(subnet, inputs[mask])[:, c]
-    learned = forward(result.network, inputs)[:, c]
-    return PlotData(
-        component=component,
-        t=result.reference.timestamps.copy(),
-        original=result.reference.samples[:, c].copy(),
-        teaching=teaching,
-        learned=learned,
-    )
+        teaching[mask] = forward(subnet, inputs[mask])
+    ref = result.reference
+    return [PlotData(comp, ref.timestamps.copy(), ref.samples[:, c].copy(), teaching[:, c],
+                     result.outputs[:, c])
+            for comp, c in zip(components, map(COMPONENTS.index, components))]
 
 
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def report_rows(results: Iterable[BenchmarkResult]) -> list[str]:
+def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
+    """Write the benchmark table as CSV (one row per result, grid order)."""
     rows = [REPORT_HEADER]
     for r in results:
         cfg = r.config
@@ -284,12 +285,7 @@ def report_rows(results: Iterable[BenchmarkResult]) -> list[str]:
             _fmt(r.final_sse),
             _fmt(r.output_mse),
         ]))
-    return rows
-
-
-def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
-    """Write the benchmark table as CSV (one row per result, grid order)."""
-    Path(path).write_text("\n".join(report_rows(results)) + "\n", encoding="ascii")
+    Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 
 
 def write_plot_data(plot: PlotData, path: str | Path) -> None:

@@ -3,10 +3,10 @@
 Hidden units are Gaussians exp(-(r/spread)^2) centered on selected training
 inputs; the output layer is linear with a bias. Training is orthogonal least
 squares: one QR factorisation of the design, grown by a column per inserted
-center, both scores the candidates and solves the output layer after every
-insertion. Training stops when the summed squared error falls to the
-configured goal, the neuron budget is reached, or every training input has
-been consumed as a center.
+center, scores the candidates; its factor R, kept on the trace, solves
+the output layer of any stage on demand. Training stops when the summed
+squared error falls to the configured goal, the neuron budget is reached,
+or every training input has been consumed as a center.
 
 Candidate scoring reads the n x n candidate kernel matrix only through a
 kernel operator. Inputs on a uniform 1-D grid (the time axis of a sampled
@@ -89,32 +89,42 @@ class RbfNetwork:
     def input_dim(self) -> int:
         return self.centers.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.output_bias.size
-
 
 @dataclass
 class TrainTrace:
     """Per-stage record of a training run.
 
     sse_history[k] is the summed squared error after k centers (k = 0 is
-    the bias-only model). stage_params[k] holds the (output_weights,
-    output_bias) solved at stage k, so intermediate-stage predictions can
-    be reconstructed; teaching_outputs are the final-stage predictions on
-    the training inputs. stop_reason is one of 'sse_goal', 'max_neurons',
+    the bias-only model). stop_reason is one of 'sse_goal', 'max_neurons',
     'inputs_exhausted'. in_span[k - 1] is True when the center added at
     stage k lay in the span of the earlier design to 1e-10 of its norm: it
-    added no direction, left the error unchanged, and got its weight from
-    the minimum-norm solve.
+    added no direction and left the error unchanged.
+
+    R is the triangular factor of the final design in the training basis:
+    one row per basis vector (bias direction first), one column per center
+    in selection order, then the bias column. coef holds the basis
+    coordinates of the targets less their target_means. An in-span center
+    opens no row, so the design after k centers is the leading block of
+    1 + k - sum(in_span[:k]) rows.
     """
 
     sse_history: np.ndarray
-    teaching_outputs: np.ndarray
-    stage_params: list[tuple[np.ndarray, np.ndarray]]
     selected_indices: list[int]
     stop_reason: str
     in_span: list[bool]
+    R: np.ndarray
+    coef: np.ndarray
+    target_means: np.ndarray
+
+    def stage_weights(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
+        """(output_weights, output_bias) after `stage` centers: the minimum-norm
+        least-squares solution of that stage's design, solved on R's leading block."""
+        if not 0 <= stage <= len(self.in_span):
+            raise ValueError(f"stage must be in 0..{len(self.in_span)}, got {stage}")
+        rows = 1 + stage - sum(self.in_span[:stage])
+        block = np.column_stack([self.R[:rows, :stage], self.R[:rows, -1]])
+        weights, centered_bias = solve_output_weights(block, self.coef[:rows])
+        return weights, centered_bias + self.target_means
 
 
 def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
@@ -245,11 +255,11 @@ def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.nd
     """Least-squares output layer for a design matrix with trailing bias column.
 
     design: (r, k+1) with k activation columns followed by the bias column
-    (all ones for the n-row design; train() passes its r <= k+1 row factor
-    R of that design instead); targets: (r, output_dim). Returns (weights,
-    bias) minimizing the Frobenius residual; rank-deficient designs fall
-    back to the minimum-norm solution (singular values below 1e-12 of the
-    largest are dropped).
+    (all ones for the n-row design; TrainTrace.stage_weights passes an
+    r <= k+1 row block of the factor R instead); targets: (r, m). Returns
+    (weights, bias) minimizing the Frobenius residual; rank-deficient
+    designs fall back to the minimum-norm solution (singular values below
+    1e-12 of the largest are dropped).
     """
     D = np.asarray(design, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
@@ -278,7 +288,8 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     (m output columns). Each insertion extends Q and the triangular factor R
     of the same QR factorisation and projects the new direction out of the
     residual, so the error drop of every stage is the score that chose it.
-    The output layer is solved through R, on at most k+1 rows instead of n.
+    Only the final output layer is solved, once, through R on at most k+1
+    rows instead of n; stage_network() solves earlier stages the same way.
 
     That matrix is reached through kernel_operator(): for 1-D inputs on a
     uniform grid it is never formed, and each product is an FFT
@@ -323,7 +334,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     # One QR factorisation of the design, grown a column at a time (orthogonal
     # least squares): the orthonormal basis Q (rows of `basis`, the bias
     # direction first) scores the candidates, and R with coef = Q.T @ Yc
-    # gives the output layer. `basis_proj` holds the basis projections of
+    # solves the output layer. `basis_proj` holds the basis projections of
     # every candidate column, so each candidate's exact SSE reduction is one
     # dot product away; the projections of a freshly added basis vector are
     # folded into the next iteration's single pass over the candidate matrix.
@@ -343,11 +354,9 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     coef = np.zeros((max_centers + 1, m))
 
     sse_history = [sse]
-    stage_params: list[tuple[np.ndarray, np.ndarray]] = [(np.zeros((0, m)), target_means.copy())]
     chosen: list[int] = []
     in_span: list[bool] = []
     available = np.ones(n, dtype=bool)
-    weights, bias = stage_params[0]
 
     while sse > config.sse_goal and len(chosen) < config.max_neurons and available.any():
         if pending:
@@ -383,7 +392,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         R[:n_basis, k] = r
         norm = float(np.linalg.norm(v))
         # A column already in the span opens no basis row and leaves the
-        # residual unchanged; the minimum-norm solve below sets its weight.
+        # residual unchanged; the minimum-norm solve sets its weight.
         spans = norm <= 1e-10 * float(np.linalg.norm(column))
         in_span.append(spans)
         if not spans:
@@ -397,14 +406,6 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             sse = float(np.sum(residual * residual))
         sse_history.append(sse)
 
-        # Same minimum-norm least-squares solution as the n-row design
-        # [columns | ones] against Yc, since Q has orthonormal columns, but on
-        # n_basis <= k + 2 rows.
-        small = np.column_stack([R[:n_basis, :k + 1], R[:n_basis, max_centers]])
-        weights, centered_bias = solve_output_weights(small, coef[:n_basis])
-        bias = centered_bias + target_means
-        stage_params.append((weights, bias))
-
     if sse <= config.sse_goal:
         stop_reason = "sse_goal"
     elif len(chosen) >= config.max_neurons:
@@ -412,26 +413,28 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     else:
         stop_reason = "inputs_exhausted"
 
+    trace = TrainTrace(
+        sse_history=np.asarray(sse_history),
+        selected_indices=chosen,
+        stop_reason=stop_reason,
+        in_span=in_span,
+        R=np.column_stack([R[:n_basis, :len(chosen)], R[:n_basis, max_centers]]),
+        coef=coef[:n_basis].copy(),
+        target_means=target_means,
+    )
+    weights, bias = trace.stage_weights(len(chosen))
     net = RbfNetwork(
         centers=X[chosen].reshape(len(chosen), X.shape[1]),
         spread=config.spread,
         output_weights=weights,
         output_bias=bias,
     )
-    trace = TrainTrace(
-        sse_history=np.asarray(sse_history),
-        teaching_outputs=Y - residual,
-        stage_params=stage_params,
-        selected_indices=chosen,
-        stop_reason=stop_reason,
-        in_span=in_span,
-    )
     return net, trace
 
 
 def stage_network(net: RbfNetwork, trace: TrainTrace, stage: int) -> RbfNetwork:
     """Network as it stood after `stage` centers (stage 0 = bias only)."""
-    weights, bias = trace.stage_params[stage]
+    weights, bias = trace.stage_weights(stage)
     return RbfNetwork(
         centers=net.centers[:stage],
         spread=net.spread,

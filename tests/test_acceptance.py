@@ -193,8 +193,7 @@ def test_criterion_8_figure_reproduction():
     )
     r0 = run_method(noiseless)
     worst = 0.0
-    for comp in ("north", "east", "alt"):
-        plot = emit_plot_data(r0, comp)
+    for plot in emit_plot_data(r0):
         worst = max(worst, float(np.max(np.abs(plot.learned - plot.original))))
     noiseless_ok = worst <= 1e-8
 
@@ -205,10 +204,7 @@ def test_criterion_8_figure_reproduction():
         noise=DEFAULT_NOISE, trajectory=DEFAULT_TRAJECTORY,
     )
     r1 = run_method(default_run)
-    sq = []
-    for comp in ("north", "east", "alt"):
-        plot = emit_plot_data(r1, comp)
-        sq.append((plot.teaching - plot.original) ** 2)
+    sq = [(plot.teaching - plot.original) ** 2 for plot in emit_plot_data(r1)]
     err = np.mean(sq, axis=0)
     quarter = len(err) // 4
     first, last = float(err[:quarter].mean()), float(err[-quarter:].mean())

@@ -294,6 +294,17 @@ class TestExitCodes:
         ("plot-data", {"plot-data": {"component": []}}, "component"),
         ("plot-data", {"plot-data": {"filter": "ultra"}}, "filter"),
         ("plot-data", {"plot-data": {"sse": float("nan")}}, "sse_goal"),
+        ("generate", {"noise": {"sigma": "0.1"}}, "noise.sigma"),
+        ("generate", {"noise": {"sigma": True}}, "noise.sigma"),
+        ("bench", {"bench": {"sse": [True]}}, "bench.sse"),
+        ("generate", {"trajectory": {"n_samples": 64, "dt": 0.5,
+                                     "sinusoids": [[[1.0, "0.1", 0.0]], [], []]}},
+         "trajectory.sinusoids"),
+        ("plot-data", {"plot_data": {"nnsize": 5}}, "plot_data"),
+        ("generate", {"noise": {"sead": 3}}, "noise.sead"),
+        # a plot-data manifest from before the plot-data section existed
+        ("plot-data", {"method": "improved", "band": "low",
+                       "train": {"max_neurons": 5}, "components": ["north"]}, "method"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -333,10 +344,13 @@ class TestExitCodes:
         assert "gpsdenoise" in capsys.readouterr().out
 
 
-def test_benchmark_patch_points_are_bound():
+def test_benchmark_patch_points_are_bound(tmp_path, small_config):
     """Every name the benchmark tracer wraps must still be bound where it looks it up.
 
-    The tracer skips a missing name, so its layer would silently read 0.
+    The tracer skips a missing name, so its layer would silently read 0. A
+    tiny traced bench must also solve the output layer through the patched
+    rbf.solve_output_weights exactly once per training, and the facts the
+    tracer reads from each training (sse_history, output_weights) must exist.
     """
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
@@ -346,3 +360,19 @@ def test_benchmark_patch_points_are_bound():
         module = importlib.import_module(f"gpsdenoise.{mod_name}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"gpsdenoise.{mod_name} no longer binds {missing}"
+
+    rec = tracer.Recorder()
+    rec.install({})
+    try:
+        rec.active = True
+        rc = main(["bench", "--config", str(small_config), "--nnsize", "6", "--spread", "10",
+                   "--filter", "low,mid", "--repeats", "1", "--out-dir", str(tmp_path)])
+    finally:
+        rec.active = False
+        rec.uninstall()
+    assert rc == 0
+    metrics = tracer.layer_metrics(rec.take())
+    assert metrics["rbf.train.calls"] == 4
+    assert metrics["rbf.solve_output_weights.calls"] == metrics["rbf.train.calls"]
+    assert metrics["rbf.train.stages"] > 0
+    assert metrics["rbf.train.weight_absmax"] > 0

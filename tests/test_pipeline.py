@@ -15,7 +15,7 @@ from gpsdenoise.pipeline import (
     write_plot_data,
     write_report,
 )
-from gpsdenoise.rbf import TrainConfig
+from gpsdenoise.rbf import TrainConfig, forward, stage_network
 from gpsdenoise.signal import NoiseConfig, Sinusoid, TrajectoryConfig
 
 # small, fast stand-in for the default benchmark signal: 256 samples over
@@ -178,7 +178,7 @@ class TestPlotData:
     def test_row_count_and_columns(self):
         conv, _ = _pair(max_neurons=8)
         result = run_method(conv)
-        plot = emit_plot_data(result, "east")
+        (plot,) = emit_plot_data(result, ["east"])
         n = SMALL_TRAJECTORY.n_samples
         for col in (plot.t, plot.original, plot.teaching, plot.learned):
             assert col.shape == (n,)
@@ -187,7 +187,7 @@ class TestPlotData:
         conv, _ = _pair(max_neurons=4)
         result = run_method(conv)
         with pytest.raises(ValueError, match="component"):
-            emit_plot_data(result, "up")
+            emit_plot_data(result, ["north", "up"])
 
     def test_noiseless_learned_equals_original(self):
         traj = TrajectoryConfig(
@@ -200,22 +200,19 @@ class TestPlotData:
             noise=NoiseConfig(sigma=0.0, seed=1), trajectory=traj,
         )
         result = run_method(cfg)
-        plot = emit_plot_data(result, "north")
+        (plot,) = emit_plot_data(result, ["north"])
         assert np.max(np.abs(plot.learned - plot.original)) <= 1e-8
 
     def test_emitted_rows_recompute_output_mse(self):
         _, impr = _pair(max_neurons=16)
         result = run_method(impr)
-        sq = []
-        for comp in ("north", "east", "alt"):
-            plot = emit_plot_data(result, comp)
-            sq.append((plot.learned - plot.original) ** 2)
+        sq = [(plot.learned - plot.original) ** 2 for plot in emit_plot_data(result)]
         recomputed = float(np.mean(sq))
         assert recomputed == pytest.approx(result.output_mse, abs=1e-12)
 
     def test_write_plot_data(self, tmp_path):
         conv, _ = _pair(max_neurons=6)
-        plot = emit_plot_data(run_method(conv), "north")
+        (plot,) = emit_plot_data(run_method(conv), ["north"])
         path = tmp_path / "plot.csv"
         write_plot_data(plot, path)
         lines = path.read_text().splitlines()
@@ -228,11 +225,39 @@ class TestPlotData:
     def test_teaching_starts_at_bias_only(self):
         conv, _ = _pair(max_neurons=12)
         result = run_method(conv)
-        plot = emit_plot_data(result, "north")
+        (plot,) = emit_plot_data(result, ["north"])
         # the first samples of the teaching curve come from the bias-only
         # stage: constant at the mean of the (noisy) training targets
-        stage0 = result.trace.stage_params[0][1][0]
-        assert plot.teaching[0] == pytest.approx(stage0, rel=1e-12)
+        stage0 = stage_network(result.network, result.trace, 0)
+        assert stage0.n_centers == 0
+        assert stage0.output_bias[0] == pytest.approx(result.trace.target_means[0], rel=1e-12)
+        assert plot.teaching[0] == pytest.approx(stage0.output_bias[0], rel=1e-12)
+
+    def test_components_in_requested_order(self):
+        result = run_method(_pair(max_neurons=6)[0])
+        plots = emit_plot_data(result, ["alt", "north"])
+        assert [p.component for p in plots] == ["alt", "north"]
+        for plot, c in zip(plots, (2, 0)):
+            assert np.array_equal(plot.original, result.reference.samples[:, c])
+
+    def test_each_stage_is_evaluated_once(self, monkeypatch):
+        from gpsdenoise import pipeline
+
+        calls = []
+
+        def counting(net, inputs):
+            calls.append(net.n_centers)
+            return forward(net, inputs)
+
+        monkeypatch.setattr(pipeline, "forward", counting)
+        result = run_method(_pair(max_neurons=10)[0])
+        plots = emit_plot_data(result, ["north", "east", "alt"])
+        assert len(plots) == 3
+        stages = len(result.trace.sse_history)
+        assert stages == 11
+        # once per stage network, plus once for the final network's outputs,
+        # which run_method computes and the learned column reuses
+        assert sorted(calls) == sorted(list(range(stages)) + [result.network.n_centers])
 
 
 class TestReport:

@@ -221,9 +221,43 @@ class TestTrain:
         net, trace = train(X, Y, cfg)
         assert len(trace.sse_history) <= cfg.max_neurons + 1
         assert len(trace.sse_history) == net.n_centers + 1
-        assert len(trace.stage_params) == len(trace.sse_history)
         assert len(trace.in_span) == net.n_centers
-        assert trace.teaching_outputs.shape == Y.shape
+        rows = 1 + net.n_centers - sum(trace.in_span)
+        assert trace.R.shape == (rows, net.n_centers + 1)
+        assert trace.coef.shape == (rows, Y.shape[1])
+        assert np.array_equal(trace.target_means, Y.mean(axis=0))
+        # upper triangular over the basis rows, bias column sqrt(n) * e0
+        assert np.array_equal(trace.R[1:, -1], np.zeros(rows - 1))
+        assert trace.R[0, -1] == np.sqrt(X.shape[0])
+        assert np.array_equal(trace.coef[0], np.zeros(Y.shape[1]))
+
+    def test_train_solves_the_output_layer_once(self, monkeypatch):
+        from gpsdenoise import rbf
+
+        calls = []
+
+        def counting(design, targets):
+            calls.append(design.shape)
+            return solve_output_weights(design, targets)
+
+        monkeypatch.setattr(rbf, "solve_output_weights", counting)
+        X, Y = _random_problem(43, n=30, d=1, m=3)
+        net, trace = train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=8, spread=0.2))
+        assert net.n_centers == 8
+        assert calls == [(1 + 8 - sum(trace.in_span), 9)]
+
+    def test_final_stage_network_is_the_trained_network(self):
+        for seed, spread in ((44, 0.2), (45, 3.0)):  # 3.0: mostly in-span columns
+            X, Y = _random_problem(seed, n=25, d=1, m=3)
+            net, trace = train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=12, spread=spread))
+            same = stage_network(net, trace, net.n_centers)
+            assert same.spread == net.spread
+            for name in ("centers", "output_weights", "output_bias"):
+                a, b = getattr(same, name), getattr(net, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            for stage in (-1, net.n_centers + 1):
+                with pytest.raises(ValueError, match="stage"):
+                    stage_network(net, trace, stage)
 
     def test_stage_network_reconstruction(self):
         X, Y = _random_problem(51, n=15, d=1, m=2)

@@ -35,7 +35,8 @@ METHODS = ("conventional", "improved")
 
 REPORT_HEADER = (
     "method,band,max_neurons,spread,sse_goal,seed,"
-    "elapsed_s,filter_s,neurons_used,final_sse,output_mse"
+    "elapsed_s,filter_s,neurons_used,final_sse,output_mse,"
+    "stop_reason,useful_stages,weight_absmax"
 )
 PLOT_HEADER = "t,original,teaching,learned"
 
@@ -268,7 +269,11 @@ def _fmt(value) -> str:
 
 
 def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
-    """Write the benchmark table as CSV (one row per result, grid order)."""
+    """Write the benchmark table as CSV (one row per result, grid order).
+
+    After the run's settings, timings and fit come why training stopped,
+    how many stages lowered the error, and the largest output weight.
+    """
     rows = [REPORT_HEADER]
     for r in results:
         cfg = r.config
@@ -284,6 +289,9 @@ def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
             str(r.neurons_used),
             _fmt(r.final_sse),
             _fmt(r.output_mse),
+            r.trace.stop_reason,
+            str(int(np.count_nonzero(np.diff(r.trace.sse_history) < 0))),
+            _fmt(np.abs(r.network.output_weights).max(initial=0.0)),
         ]))
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 

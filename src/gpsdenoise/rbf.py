@@ -3,8 +3,9 @@
 Hidden units are Gaussians exp(-(r/spread)^2) centered on selected training
 inputs; the output layer is linear with a bias. Training is orthogonal least
 squares: one QR factorisation of the design, grown by a column per inserted
-center, scores the candidates; its factor R, kept on the trace, solves
-the output layer of any stage on demand. Training stops when the summed
+center, scores the candidates at the cost of one kernel product per new
+basis direction; its factor R, kept on the trace, solves the output
+layer of any stage on demand. Training stops when the summed
 squared error falls to the configured goal, the neuron budget is reached,
 or every training input has been consumed as a center.
 
@@ -24,6 +25,23 @@ import numpy as np
 # solve; nearly collinear activation columns degrade gracefully.
 _LSTSQ_RCOND = 1e-12
 
+# The trainer keeps the candidate products K @ residual current by one
+# rank-1 update per new basis direction. Those updates round at the scale
+# of what they subtract, eps * |K| * |r0| with r0 the residual when the
+# products were last computed from it, while a fresh product rounds at
+# eps * |K| * |r|. Recomputing them once the SSE |r|^2 falls below this
+# fraction of |r0|^2 keeps the drift within sqrt(1e4) = 100 times a fresh
+# pass's rounding; left to grow with a residual shrunk by orders of
+# magnitude, the drift promotes near-span candidates.
+_RESCORE_FRACTION = 1e-4
+
+
+def _check_spread(spread: float) -> None:
+    """Reject a kernel width the activations exp(-r^2 / spread^2) cannot use."""
+    if not (0 < spread < np.inf and 0 < spread * spread < np.inf):
+        raise ValueError(f"spread must be positive and finite with a positive finite "
+                         f"square, got {spread}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -38,8 +56,7 @@ class TrainConfig:
             raise ValueError(f"sse_goal must be >= 0, got {self.sse_goal}")
         if self.max_neurons < 1:
             raise ValueError(f"max_neurons must be >= 1, got {self.max_neurons}")
-        if not 0 < self.spread < np.inf:
-            raise ValueError(f"spread must be positive and finite, got {self.spread}")
+        _check_spread(self.spread)
 
 
 @dataclass(frozen=True)
@@ -58,8 +75,7 @@ class RbfNetwork:
         c = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
         w = np.atleast_2d(np.asarray(self.output_weights, dtype=np.float64))
         b = np.asarray(self.output_bias, dtype=np.float64).ravel()
-        if self.spread <= 0:
-            raise ValueError(f"spread must be positive, got {self.spread}")
+        _check_spread(self.spread)
         if c.shape[0] == 0:
             c = c.reshape(0, max(1, c.shape[1] if c.ndim == 2 else 1))
         if w.shape[0] != c.shape[0]:
@@ -282,12 +298,17 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     then repeatedly promotes the not-yet-used training input whose kernel
     column most reduces the summed squared error (ties broken by lowest
     index). The candidate reductions are computed exactly from an
-    orthonormal basis Q of the current design and its projections on every
-    candidate column, which costs O(n*k) memory for k neurons plus one
-    product of the candidate kernel matrix with m+1 vectors per added neuron
-    (m output columns). Each insertion extends Q and the triangular factor R
-    of the same QR factorisation and projects the new direction out of the
-    residual, so the error drop of every stage is the score that chose it.
+    orthonormal basis Q of the current design, its projections on every
+    candidate column and the candidates' products with the residual, which
+    costs O(n*k) memory for k neurons. Each insertion extends Q and the
+    triangular factor R of the same QR factorisation and projects the new
+    direction q out of the residual, so the error drop of every stage is
+    the score that chose it; one product of the candidate kernel matrix
+    with q then updates both the projections and the residual products. A
+    center in the span of the earlier design costs no product. The products
+    with the residual (m vectors for m output columns) are computed afresh
+    for the first stage and again only once the error has fallen 1e4-fold
+    since they last were.
     Only the final output layer is solved, once, through R on at most k+1
     rows instead of n; stage_network() solves earlier stages the same way.
 
@@ -334,10 +355,13 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     # One QR factorisation of the design, grown a column at a time (orthogonal
     # least squares): the orthonormal basis Q (rows of `basis`, the bias
     # direction first) scores the candidates, and R with coef = Q.T @ Yc
-    # solves the output layer. `basis_proj` holds the basis projections of
-    # every candidate column, so each candidate's exact SSE reduction is one
-    # dot product away; the projections of a freshly added basis vector are
-    # folded into the next iteration's single pass over the candidate matrix.
+    # solves the output layer. `basis_proj` holds the basis projections
+    # K @ q of every candidate column and `cross` the candidate products
+    # K @ residual, so each candidate's exact SSE reduction is one dot
+    # product away. A new direction q removes q coef.T from the residual,
+    # so K @ q, the one kernel product an accepted center costs, both
+    # extends basis_proj and brings cross up to date (Chen, Cowan & Grant,
+    # IEEE Trans. Neural Networks 2(2), 1991).
     max_centers = min(config.max_neurons, n)
     basis = np.empty((max_centers + 1, n))
     basis_proj = np.empty((max_centers + 1, n))
@@ -345,7 +369,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     basis_proj[0] = op.constant_projection()
     n_basis = 1
     cand_norm2 = op.column_norms2() - basis_proj[0] ** 2
-    pending = False
+    scored_sse = np.inf  # SSE when cross was last computed from the residual; none yet
     # Design = Q @ [R | sqrt(n) e0]: column j of R holds center j's
     # coordinates in the basis, and the bias column is sqrt(n) times the
     # first basis vector. Yc is centered, so its bias coordinate is zero.
@@ -359,21 +383,14 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     available = np.ones(n, dtype=bool)
 
     while sse > config.sse_goal and len(chosen) < config.max_neurons and available.any():
-        if pending:
-            passed = op.matmul(np.concatenate([residual, basis[n_basis - 1, :, None]], axis=1))
-            cross = passed[:, :m]
-            basis_proj[n_basis - 1] = passed[:, m]
-            cand_norm2 -= basis_proj[n_basis - 1] ** 2
-            np.maximum(cand_norm2, 0.0, out=cand_norm2)
-            pending = False
-        else:
-            cross = op.matmul(residual)
-        # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2
-        # with c_perp the part of c orthogonal to the current design span.
         B = basis[:n_basis]
-        P = basis_proj[:n_basis]
-        num = cross - P.T @ (B @ residual)
-        scores = np.einsum("ij,ij->i", num, num) / np.maximum(cand_norm2, 1e-300)
+        if sse < _RESCORE_FRACTION * scored_sse:
+            # c_perp . residual for every candidate c, with c_perp the part
+            # of c orthogonal to the current design span.
+            cross = op.matmul(residual) - basis_proj[:n_basis].T @ (B @ residual)
+            scored_sse = sse
+        # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2.
+        scores = np.einsum("ij,ij->i", cross, cross) / np.maximum(cand_norm2, 1e-300)
         idx = int(np.argmax(np.where(available, scores, -np.inf)))
         k = len(chosen)
         chosen.append(idx)
@@ -392,7 +409,8 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         R[:n_basis, k] = r
         norm = float(np.linalg.norm(v))
         # A column already in the span opens no basis row and leaves the
-        # residual unchanged; the minimum-norm solve sets its weight.
+        # residual, and with it every score, unchanged; the minimum-norm
+        # solve sets its weight.
         spans = norm <= 1e-10 * float(np.linalg.norm(column))
         in_span.append(spans)
         if not spans:
@@ -401,8 +419,12 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             R[n_basis, k] = norm
             coef[n_basis] = q @ residual  # == q @ Yc: q is orthogonal to what was removed
             residual -= np.outer(q, coef[n_basis])
+            kq = op.matmul(q[:, None])[:, 0]
+            basis_proj[n_basis] = kq
+            cand_norm2 -= kq ** 2
+            np.maximum(cand_norm2, 0.0, out=cand_norm2)
+            cross -= np.outer(kq, coef[n_basis])
             n_basis += 1
-            pending = True
             sse = float(np.sum(residual * residual))
         sse_history.append(sse)
 

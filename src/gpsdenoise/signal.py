@@ -143,6 +143,8 @@ class NoiseConfig:
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_trajectory(config: TrajectoryConfig) -> PositionSeries:

@@ -305,6 +305,7 @@ class TestExitCodes:
         # a plot-data manifest from before the plot-data section existed
         ("plot-data", {"method": "improved", "band": "low",
                        "train": {"max_neurons": 5}, "components": ["north"]}, "method"),
+        ("generate", {"noise": {"seed": -3}}, "seed"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -320,6 +321,10 @@ class TestExitCodes:
         (["plot-data", "--sse", "nan"], "sse_goal"),
         (["plot-data", "--spread", "inf"], "spread"),
         (["bench", "--spread", "inf"], "spread"),
+        # its square underflows; a numpy warning on the way would count as a failure
+        pytest.param(["plot-data", "--spread", "1e-300"], "spread",
+                     marks=pytest.mark.filterwarnings("error")),
+        (["plot-data", "--seed", "-3"], "seed"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])

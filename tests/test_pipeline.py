@@ -146,7 +146,7 @@ class TestRunTable:
         lines = path.read_text().splitlines()
         assert lines[0] == REPORT_HEADER
         assert len(lines) == 9
-        assert all(len(line.split(",")) == 11 for line in lines)
+        assert all(len(line.split(",")) == 14 for line in lines)
 
     def test_rerun_non_timing_fields_identical(self):
         grid = [_pair(max_neurons=8)]
@@ -280,3 +280,19 @@ class TestReport:
         assert float(cells[4]) == conv.train.sse_goal
         assert int(cells[5]) == SMALL_NOISE.seed
         assert float(cells[10]) == result.output_mse
+
+    def test_stop_and_stage_columns_agree_with_the_run(self, tmp_path):
+        # spread 30 on the small signal leaves some stages in the span
+        results = run_table([_pair(max_neurons=24, spread=30.0)])
+        path = tmp_path / "r.csv"
+        write_report(results, path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[11:] == ["stop_reason", "useful_stages", "weight_absmax"]
+        for line, result in zip(lines[1:], results):
+            cells = line.split(",")
+            history = result.trace.sse_history
+            assert cells[11] == result.trace.stop_reason
+            assert int(cells[12]) == sum(b < a for a, b in zip(history, history[1:]))
+            assert float(cells[13]) == np.max(np.abs(result.network.output_weights))
+        assert int(lines[1].split(",")[12]) < results[0].neurons_used

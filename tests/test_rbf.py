@@ -43,6 +43,12 @@ class TestRbfNetwork:
             RbfNetwork(centers=np.array([[np.inf]]), spread=1.0,
                        output_weights=np.zeros((1, 1)), output_bias=np.zeros(1))
 
+    @pytest.mark.parametrize("spread", [math.nan, math.inf, 1e-300, 1e200])
+    def test_rejects_spread_without_a_finite_positive_square(self, spread):
+        with pytest.raises(ValueError, match="spread"):
+            RbfNetwork(centers=np.zeros((1, 1)), spread=spread,
+                       output_weights=np.zeros((1, 1)), output_bias=np.zeros(1))
+
 
 class TestForward:
     def test_zero_centers_returns_bias(self):
@@ -288,7 +294,7 @@ class TestTrain:
             TrainConfig(sse_goal=0.0, max_neurons=5, spread=0.0)
         with pytest.raises(ValueError, match="sse_goal"):
             TrainConfig(sse_goal=math.nan, max_neurons=5, spread=1.0)
-        for spread in (math.inf, math.nan):
+        for spread in (math.inf, math.nan, 1e-300):  # 1e-300 squares to 0
             with pytest.raises(ValueError, match="spread"):
                 TrainConfig(sse_goal=0.0, max_neurons=5, spread=spread)
 
@@ -314,6 +320,19 @@ def _well_conditioned_runs(count=20):
         if np.linalg.cond(_design(X, net.centers, cfg.spread)) <= 1e3:
             runs.append((X, Y, cfg, net, trace))
     return runs
+
+
+def _default_problem(band=None, seed=None):
+    """Inputs and targets of the default noisy signal, or of one band of it."""
+    from gpsdenoise.bandfilter import select_band
+    from gpsdenoise.pipeline import DEFAULT_BAND_SPEC, DEFAULT_NOISE, DEFAULT_TRAJECTORY
+    from gpsdenoise.signal import add_noise, generate_trajectory
+
+    noise = DEFAULT_NOISE if seed is None else dataclasses.replace(DEFAULT_NOISE, seed=seed)
+    series = add_noise(generate_trajectory(DEFAULT_TRAJECTORY), noise)
+    if band is not None:
+        series = select_band(series, band, DEFAULT_BAND_SPEC).series
+    return series.timestamps[:, None], series.samples
 
 
 class TestOrthogonalLeastSquares:
@@ -358,6 +377,51 @@ class TestOrthogonalLeastSquares:
         assert len(trace.in_span) == len(trace.selected_indices) == 100
         assert sum(trace.in_span) > 0
         assert np.array_equal(trace.in_span, zero_drop)
+
+    def test_one_kernel_product_per_new_direction(self, monkeypatch):
+        # m columns for every pass from the residual, the first and each one
+        # the rescoring rule asks for; one column per center that opens a
+        # basis row; nothing for an in-span center
+        from gpsdenoise import rbf
+
+        widths = []
+        matmul = ToeplitzKernel.matmul
+
+        def counting(op, V):
+            widths.append(V.shape[1])
+            return matmul(op, V)
+
+        monkeypatch.setattr(ToeplitzKernel, "matmul", counting)
+        for band, cfg in ((None, TrainConfig(1e-6, 100, 100.0)),
+                          ("low", TrainConfig(0.0, 50, 50.0))):
+            X, Y = _default_problem(band)
+            widths.clear()
+            _, trace = train(X, Y, cfg)
+            expected, rescored = [], math.inf
+            for sse, spans in zip(trace.sse_history, trace.in_span):
+                if sse < rbf._RESCORE_FRACTION * rescored:
+                    expected.append(Y.shape[1])
+                    rescored = sse
+                if not spans:
+                    expected.append(1)
+            assert sum(trace.in_span) > 0
+            assert widths == expected
+            if band == "low":  # its SSE falls far enough to rescore on the way
+                assert expected.count(Y.shape[1]) > 1
+
+    @pytest.mark.parametrize("seed", [1234, 7])
+    def test_updated_scores_pick_like_fresh_ones(self, monkeypatch, seed):
+        # sse_goal 0 drives the SSE down by orders of magnitude, where
+        # updates carried from the first pass would pick near-span columns
+        from gpsdenoise import rbf
+
+        X, Y = _default_problem("low", seed)
+        cfg = TrainConfig(0.0, 50, 50.0)
+        _, trace = train(X, Y, cfg)
+        monkeypatch.setattr(rbf, "_RESCORE_FRACTION", 1.0)  # rescore every new direction
+        _, fresh = train(X, Y, cfg)
+        assert trace.selected_indices == fresh.selected_indices
+        assert np.array_equal(trace.sse_history, fresh.sse_history)
 
 
 def _grid(n, dt=0.1):

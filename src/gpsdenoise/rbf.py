@@ -13,7 +13,10 @@ Candidate scoring reads the n x n candidate kernel matrix only through a
 kernel operator. Inputs on a uniform 1-D grid (the time axis of a sampled
 series) get ToeplitzKernel, which stores one kernel column and multiplies
 by FFT in O(n log n) time and O(n) memory; any other inputs get
-DenseKernel, which holds the full matrix.
+DenseKernel, which holds the full matrix. The trainer keeps everything it
+holds per output column (residual, candidate products) as contiguous rows
+of length n, and the operators multiply along the last axis, so a product
+takes one (n,) vector or an (r, n) block of rows.
 """
 from __future__ import annotations
 
@@ -144,11 +147,21 @@ class TrainTrace:
 
 
 def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
-    """Activation matrix, shape (n, k)."""
+    """Activation matrix, shape (n, k), for inputs X (n, d) and centers (k, d).
+
+    Squared distances accumulate one input dimension at a time in one
+    (n, k) buffer, which is then exponentiated in place.
+    """
     if centers.shape[0] == 0:
-        return np.empty((X.shape[0], 0), dtype=np.float64)
-    sq = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-sq / (spread * spread))
+        return np.empty((X.shape[0], 0))
+    sq = np.subtract.outer(X[:, 0], centers[:, 0])
+    sq *= sq
+    for x, c in zip(X.T[1:], centers.T[1:]):
+        diff = np.subtract.outer(x, c)
+        diff *= diff
+        sq += diff
+    sq /= -(spread * spread)
+    return np.exp(sq, out=sq)
 
 
 # A grid is accepted for ToeplitzKernel when its worst deviation from the
@@ -168,19 +181,11 @@ class DenseKernel:
     """
 
     def __init__(self, X: np.ndarray, spread: float):
-        # Built one input dimension at a time to stay within two n*n buffers.
-        n = X.shape[0]
-        sq = np.zeros((n, n))
-        for coord in X.T:
-            diff = np.subtract.outer(coord, coord)
-            diff *= diff
-            sq += diff
-        sq /= -(spread * spread)
-        self.matrix = np.exp(sq, out=sq)
+        self.matrix = _activations(X, X, spread)
 
     def matmul(self, V: np.ndarray) -> np.ndarray:
-        """K.T @ V for V of shape (n, r)."""
-        return self.matrix.T @ V
+        """K @ v for every row v of V: V @ K for V of shape (r, n) or (n,)."""
+        return V @ self.matrix
 
     def constant_projection(self) -> np.ndarray:
         """Every column's projection on the unit constant vector: column sums / sqrt(n)."""
@@ -214,11 +219,11 @@ class ToeplitzKernel:
         self._circ_fft = np.fft.rfft(np.concatenate([c, [0.0], c[:0:-1]]))
 
     def matmul(self, V: np.ndarray) -> np.ndarray:
-        """K.T @ V (= K @ V) for V of shape (n, r)."""
+        """K @ v for every row v of V: V @ K for V of shape (r, n) or (n,)."""
         n = self._c.size
-        spectrum = np.fft.rfft(V, n=2 * n, axis=0)
-        spectrum *= self._circ_fft[:, None]
-        return np.fft.irfft(spectrum, n=2 * n, axis=0)[:n]
+        spectrum = np.fft.rfft(V, n=2 * n)
+        spectrum *= self._circ_fft
+        return np.fft.irfft(spectrum, n=2 * n)[..., :n]
 
     def _symmetric_sums(self, values: np.ndarray) -> np.ndarray:
         # Column j holds values[j..1] above the diagonal and values[0..n-1-j]
@@ -305,10 +310,11 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     direction q out of the residual, so the error drop of every stage is
     the score that chose it; one product of the candidate kernel matrix
     with q then updates both the projections and the residual products. A
-    center in the span of the earlier design costs no product. The products
-    with the residual (m vectors for m output columns) are computed afresh
-    for the first stage and again only once the error has fallen 1e4-fold
-    since they last were.
+    center in the span of the earlier design costs no product. The residual
+    and its products are held as one row of length n per output column; the
+    products (an (m, n) block for m output columns) are computed afresh for
+    the first stage and again only once the error has fallen 1e4-fold since
+    they last were.
     Only the final output layer is solved, once, through R on at most k+1
     rows instead of n; stage_network() solves earlier stages the same way.
 
@@ -318,6 +324,9 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     O(n^2) memory and pay O(n^2) per product. Either way the design
     columns are the activations forward() computes. Deterministic:
     identical inputs, targets and config give identical results.
+
+    Raises ValueError for malformed or non-finite data, and for a spread so
+    small against the input span that (span / spread)^2 overflows.
     """
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim == 1:
@@ -325,8 +334,8 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     Y = np.asarray(targets, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ValueError("inputs and targets must be 2-d matrices")
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] == 0:
+        raise ValueError("inputs and targets must be 2-d matrices with at least one input column")
     n = X.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
@@ -334,6 +343,13 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
         raise ValueError(f"targets rows ({Y.shape[0]}) != inputs rows ({n})")
     if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise ValueError("inputs and targets must be finite")
+    # The activations divide squared input distances by spread^2; the
+    # largest of them must stay finite, or exp() is fed an overflow.
+    with np.errstate(over="ignore"):
+        span2 = np.sum(np.ptp(X, axis=0) ** 2)
+        if not np.isfinite(span2 / (config.spread * config.spread)):
+            raise ValueError(f"spread {config.spread:g} is too small for inputs spanning "
+                             f"{np.sqrt(span2):g}: (span / spread)^2 overflows")
     return _greedy_train(X, Y, config, kernel_operator(X, config.spread))
 
 
@@ -347,18 +363,21 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     # bias: identical residuals, but the least-squares stages keep full
     # precision when the signal rides on large position offsets.
     target_means = Y.mean(axis=0)
-    Yc = Y - target_means
 
-    residual = Yc.copy()  # == Y - (bias-only predictions)
-    sse = float(np.sum(residual * residual))
+    # Per-output quantities are kept as rows of length n, one per output
+    # column, so their elementwise work runs along contiguous memory. The
+    # residual starts as the centered targets Yc, transposed: Y less the
+    # bias-only predictions.
+    residual = (Y - target_means).T.copy()
+    sse = float(np.vdot(residual, residual))
 
     # One QR factorisation of the design, grown a column at a time (orthogonal
     # least squares): the orthonormal basis Q (rows of `basis`, the bias
     # direction first) scores the candidates, and R with coef = Q.T @ Yc
     # solves the output layer. `basis_proj` holds the basis projections
-    # K @ q of every candidate column and `cross` the candidate products
-    # K @ residual, so each candidate's exact SSE reduction is one dot
-    # product away. A new direction q removes q coef.T from the residual,
+    # K @ q of every candidate column and the rows of `cross` the candidate
+    # products K @ residual, so each candidate's exact SSE reduction is one
+    # dot product away. A new direction q removes coef q from the residual,
     # so K @ q, the one kernel product an accepted center costs, both
     # extends basis_proj and brings cross up to date (Chen, Cowan & Grant,
     # IEEE Trans. Neural Networks 2(2), 1991).
@@ -368,8 +387,12 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     basis[0] = 1.0 / np.sqrt(n)
     basis_proj[0] = op.constant_projection()
     n_basis = 1
+    # Squared norms of the candidates' parts orthogonal to the basis,
+    # floored where rounding leaves nothing of a column.
     cand_norm2 = op.column_norms2() - basis_proj[0] ** 2
+    np.maximum(cand_norm2, 1e-300, out=cand_norm2)
     scored_sse = np.inf  # SSE when cross was last computed from the residual; none yet
+    scores = np.empty(n)
     # Design = Q @ [R | sqrt(n) e0]: column j of R holds center j's
     # coordinates in the basis, and the bias column is sqrt(n) times the
     # first basis vector. Yc is centered, so its bias coordinate is zero.
@@ -380,21 +403,21 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     sse_history = [sse]
     chosen: list[int] = []
     in_span: list[bool] = []
-    available = np.ones(n, dtype=bool)
 
-    while sse > config.sse_goal and len(chosen) < config.max_neurons and available.any():
+    while sse > config.sse_goal and len(chosen) < max_centers:
         B = basis[:n_basis]
         if sse < _RESCORE_FRACTION * scored_sse:
             # c_perp . residual for every candidate c, with c_perp the part
             # of c orthogonal to the current design span.
-            cross = op.matmul(residual) - basis_proj[:n_basis].T @ (B @ residual)
+            cross = op.matmul(residual) - (residual @ B.T) @ basis_proj[:n_basis]
             scored_sse = sse
         # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2.
-        scores = np.einsum("ij,ij->i", cross, cross) / np.maximum(cand_norm2, 1e-300)
-        idx = int(np.argmax(np.where(available, scores, -np.inf)))
+        np.einsum("ij,ij->j", cross, cross, out=scores)
+        scores /= cand_norm2
+        scores[chosen] = -np.inf
+        idx = int(np.argmax(scores))
         k = len(chosen)
         chosen.append(idx)
-        available[idx] = False
 
         # Orthogonalise the accepted column against the basis in two
         # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
@@ -417,15 +440,15 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             q = v / norm
             basis[n_basis] = q
             R[n_basis, k] = norm
-            coef[n_basis] = q @ residual  # == q @ Yc: q is orthogonal to what was removed
-            residual -= np.outer(q, coef[n_basis])
-            kq = op.matmul(q[:, None])[:, 0]
+            coef[n_basis] = residual @ q  # == Yc.T @ q: q is orthogonal to what was removed
+            residual -= np.multiply.outer(coef[n_basis], q)
+            kq = op.matmul(q)
             basis_proj[n_basis] = kq
-            cand_norm2 -= kq ** 2
-            np.maximum(cand_norm2, 0.0, out=cand_norm2)
-            cross -= np.outer(kq, coef[n_basis])
+            cand_norm2 -= kq * kq
+            np.maximum(cand_norm2, 1e-300, out=cand_norm2)
+            cross -= np.multiply.outer(coef[n_basis], kq)
             n_basis += 1
-            sse = float(np.sum(residual * residual))
+            sse = float(np.vdot(residual, residual))
         sse_history.append(sse)
 
     if sse <= config.sse_goal:

@@ -325,6 +325,10 @@ class TestExitCodes:
         pytest.param(["plot-data", "--spread", "1e-300"], "spread",
                      marks=pytest.mark.filterwarnings("error")),
         (["plot-data", "--seed", "-3"], "seed"),
+        # its square is positive, but the input span over it squared overflows
+        pytest.param(["plot-data", "--spread", "1e-160", "--nnsize", "3",
+                      "--component", "north"], "spread",
+                     marks=pytest.mark.filterwarnings("error")),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])

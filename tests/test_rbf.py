@@ -11,6 +11,7 @@ from gpsdenoise.rbf import (
     RbfNetwork,
     ToeplitzKernel,
     TrainConfig,
+    _activations,
     _greedy_train,
     forward,
     kernel_operator,
@@ -85,6 +86,20 @@ class TestForward:
                          output_weights=np.zeros((1, 1)), output_bias=np.zeros(1))
         with pytest.raises(ValueError, match="dimension"):
             forward(net, np.zeros(3))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_activations_match_broadcast_formula(self, d, k):
+        # the broadcast formula is the reference; the in-place build must
+        # match it bit for bit
+        rng = np.random.default_rng(10 * d + k)
+        X = rng.normal(0.0, 3.0, (40, d))
+        C = rng.normal(0.0, 3.0, (k, d))
+        spread = 1.7
+        expected = np.exp(-((X[:, None, :] - C[None]) ** 2).sum(2) / spread**2)
+        got = _activations(X, C, spread)
+        assert got.shape == (40, k)
+        assert np.array_equal(got, expected)
 
     def test_batch_matches_single(self):
         # BLAS may order the reductions differently for a batch, so compare
@@ -284,6 +299,19 @@ class TestTrain:
             train(np.array([[np.nan]]), np.array([[1.0]]), cfg)
         with pytest.raises(ValueError, match="rows"):
             train(np.zeros((3, 1)), np.zeros((4, 1)), cfg)
+        with pytest.raises(ValueError, match="input column"):
+            train(np.zeros((3, 0)), np.zeros((3, 1)), cfg)
+
+    @pytest.mark.parametrize("X, spread", [
+        # spread^2 = 1e-320 is positive, but 400^2 / 1e-320 is not finite
+        (np.arange(5.0)[:, None] * 100.0, 1e-160),
+        # the squared span 2.5e321 overflows before the division
+        (np.array([[0.0, 0.0], [3.0, 4.0]]) * 1e160, 1.0),
+    ], ids=["tiny-spread", "huge-span"])
+    def test_rejects_span_whose_scaled_square_overflows(self, X, spread):
+        Y = np.zeros((X.shape[0], 1))
+        with pytest.raises(ValueError, match="spread .* spanning"):
+            train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=2, spread=spread))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -379,8 +407,8 @@ class TestOrthogonalLeastSquares:
         assert np.array_equal(trace.in_span, zero_drop)
 
     def test_one_kernel_product_per_new_direction(self, monkeypatch):
-        # m columns for every pass from the residual, the first and each one
-        # the rescoring rule asks for; one column per center that opens a
+        # m rows for every pass from the residual, the first and each one
+        # the rescoring rule asks for; one vector per center that opens a
         # basis row; nothing for an in-span center
         from gpsdenoise import rbf
 
@@ -388,7 +416,7 @@ class TestOrthogonalLeastSquares:
         matmul = ToeplitzKernel.matmul
 
         def counting(op, V):
-            widths.append(V.shape[1])
+            widths.append(1 if V.ndim == 1 else V.shape[0])
             return matmul(op, V)
 
         monkeypatch.setattr(ToeplitzKernel, "matmul", counting)
@@ -408,6 +436,31 @@ class TestOrthogonalLeastSquares:
             assert widths == expected
             if band == "low":  # its SSE falls far enough to rescore on the way
                 assert expected.count(Y.shape[1]) > 1
+
+    # Picks of the default signal's conventional run (nnsize 100, spread 50)
+    # and improved/low run (nnsize 50, spread 30) at every stage that opens
+    # a basis row, pinned before the trainer kept its state as rows. The
+    # in-span picks are left out: they tie on a zero score.
+    OPENING_PICKS = {
+        None: ("max_neurons", [
+            2210, 1376, 3017, 0, 3646, 1, 2, 4, 14, 40, 85, 145, 191, 246, 322,
+            399, 459, 550, 669, 769, 879, 987, 1088, 1382, 1446, 1545, 1645,
+            1747, 1863, 2007, 2230, 2290, 2425, 2561, 2703, 2868, 3066, 3181,
+            3335, 3575, 3755, 3890, 4049, 4093]),
+        "low": ("sse_goal", [
+            2200, 1587, 2816, 1026, 3366, 2589, 1922, 2898, 488, 1358, 3763,
+            629, 1826, 3072, 589, 4001, 2462, 191, 1315, 4095, 3876, 791, 238,
+            4094, 4093, 4073, 3984, 3864, 3754, 3700, 3626, 3364, 3319, 3067]),
+    }
+
+    @pytest.mark.parametrize("band, cfg", [(None, TrainConfig(1e-6, 100, 50.0)),
+                                           ("low", TrainConfig(1e-6, 50, 30.0))],
+                             ids=["conventional", "improved-low"])
+    def test_default_signal_opening_picks_unchanged(self, band, cfg):
+        X, Y = _default_problem(band)
+        _, trace = train(X, Y, cfg)
+        opened = [i for i, spans in zip(trace.selected_indices, trace.in_span) if not spans]
+        assert (trace.stop_reason, opened) == self.OPENING_PICKS[band]
 
     @pytest.mark.parametrize("seed", [1234, 7])
     def test_updated_scores_pick_like_fresh_ones(self, monkeypatch, seed):
@@ -450,7 +503,7 @@ class TestKernelOperator:
         op = kernel_operator(X, spread)
         assert isinstance(op, ToeplitzKernel)
         dense = DenseKernel(X, spread)
-        V = np.random.default_rng(n).normal(0.0, 1.0, (n, 4))
+        V = np.random.default_rng(n).normal(0.0, 1.0, (4, n))
         assert _rel_dev(op.matmul(V), dense.matmul(V)) <= 1e-12
         sums = op.constant_projection() * np.sqrt(n)
         assert _rel_dev(sums, dense.matrix.sum(axis=0)) <= 1e-12
@@ -458,6 +511,18 @@ class TestKernelOperator:
         for j in {0, 1, n // 2, n - 1}:
             # same evaluator as the dense build, so bit-identical
             assert np.array_equal(op.column(j), dense.column(j))
+
+    @pytest.mark.parametrize("kind", [ToeplitzKernel, DenseKernel])
+    def test_vector_product_is_its_row_of_the_block_product(self, kind):
+        n = 300
+        op = kind(_grid(n), 2.0)
+        V = np.random.default_rng(3).normal(0.0, 1.0, (3, n))
+        block = op.matmul(V)
+        assert block.shape == V.shape
+        for row, v in zip(block, V):
+            vec = op.matmul(v)
+            assert vec.shape == (n,)
+            assert np.allclose(vec, row, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("spread", [0.05, 1.0, 40.0])
     def test_grid_tolerance_bounds_kernel_deviation(self, spread):

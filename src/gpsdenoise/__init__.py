@@ -34,7 +34,6 @@ from .pipeline import (
     PlotData,
     build_grid,
     emit_plot_data,
-    method_pair,
     run_method,
     run_table,
     write_plot_data,
@@ -65,7 +64,6 @@ __all__ = [
     "emit_plot_data",
     "forward",
     "generate_trajectory",
-    "method_pair",
     "mse",
     "read_series",
     "run_method",

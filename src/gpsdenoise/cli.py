@@ -14,18 +14,20 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import platform
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bandfilter import BAND_NAMES, BandSpec
+from .bandfilter import BandSpec
 from .pipeline import (
     DEFAULT_BAND_SPEC,
     DEFAULT_NOISE,
     DEFAULT_SEED,
     DEFAULT_TRAIN,
     DEFAULT_TRAJECTORY,
+    FILTERS,
     MethodConfig,
     build_grid,
     emit_plot_data,
@@ -168,8 +170,8 @@ def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
     if dt is not None and dt != trajectory.dt:
         # a dt override stretches the time axis: every sinusoid keeps its
         # cycles-per-sample position, so the shape stays below Nyquist
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         scale = trajectory.dt / dt
         overrides["dt"] = dt
         overrides["sinusoids"] = tuple(
@@ -267,13 +269,13 @@ def cmd_bench(args) -> int:
         "filter": _setting(args.filter, cfg, "bench.filter", _list_of(str), ["low"]),
         "repeats": _setting(args.repeats, cfg, "bench.repeats", _integer, 5),
     }
-    _check_names("filter", bench["filter"], ("none",) + BAND_NAMES)
+    _check_names("filter", bench["filter"], FILTERS)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(bench["nnsize"], bench["spread"], bench["sse"], bench["filter"],
-                      band_spec, noise, trajectory)
-    results = run_table(grid, repeats=bench["repeats"])
+    configs = build_grid(bench["nnsize"], bench["spread"], bench["sse"], bench["filter"],
+                         band_spec, noise, trajectory)
+    results = run_table(configs, repeats=bench["repeats"])
 
     report_path = out_dir / args.report
     write_report(results, report_path)
@@ -297,21 +299,18 @@ def cmd_plot_data(args) -> int:
         "sse": _setting(args.sse, cfg, "plot-data.sse", _number, DEFAULT_TRAIN.sse_goal),
     }
     _check_names("component", plot["component"], COMPONENTS)
-    _check_names("filter", [plot["filter"]], ("none",) + BAND_NAMES)
+    _check_names("filter", [plot["filter"]], FILTERS)
 
-    train_cfg = TrainConfig(sse_goal=plot["sse"], max_neurons=plot["nnsize"],
-                            spread=plot["spread"])
-    band = None if plot["filter"] == "none" else plot["filter"]
-    method = "improved" if band else "conventional"
     config = MethodConfig(
-        method=method, train=train_cfg, noise=noise, trajectory=trajectory,
-        band=band, band_spec=band_spec,
+        train=TrainConfig(sse_goal=plot["sse"], max_neurons=plot["nnsize"],
+                          spread=plot["spread"]),
+        noise=noise, trajectory=trajectory, band=plot["filter"], band_spec=band_spec,
     )
     result = run_method(config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = method if band is None else f"{method}_{band}"
+    tag = config.method if config.band == "none" else f"{config.method}_{config.band}"
     written = []
     for data in emit_plot_data(result, plot["component"]):
         path = out_dir / f"plot_{tag}_{data.component}.csv"
@@ -323,8 +322,8 @@ def cmd_plot_data(args) -> int:
         {"trajectory": trajectory, "noise": noise, "band_spec": band_spec, "plot-data": plot},
         metrics={
             "output_mse": result.output_mse,
-            "final_sse": result.final_sse,
-            "neurons_used": result.neurons_used,
+            "final_sse": float(result.trace.sse_history[-1]),
+            "neurons_used": result.network.n_centers,
         },
     )
     for path in written:
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--component", type=lambda s: _csv_list(s, str), default=None,
                    help="comma-separated components: north,east,alt (default all three)")
-    p.add_argument("--filter", default=None, choices=("none",) + BAND_NAMES,
+    p.add_argument("--filter", default=None, choices=FILTERS,
                    help="band for the improved method; none (default) = conventional")
     p.add_argument("--nnsize", type=int, default=None,
                    help=f"neuron budget (default {DEFAULT_TRAIN.max_neurons})")

@@ -1,10 +1,12 @@
 """End-to-end benchmark of conventional vs band-filtered RBF denoising.
 
-The conventional method trains the network directly on the noisy position
-series; the improved method first selects one frequency band of the noisy
-series and trains on that. Runs are timed around the training call only,
-paired runs share the identical trajectory and noise realization, and all
-non-timing outputs are deterministic for a fixed seed.
+A run is described by its band alone. Band "none" is the conventional
+method: it trains the network directly on the noisy position series. Any
+other band is the improved method: it first selects that frequency band
+of the noisy series and trains on that. Runs are timed around the
+training call only, paired runs share the identical trajectory and noise
+realization, and all non-timing outputs are deterministic for a fixed
+seed.
 """
 from __future__ import annotations
 
@@ -27,11 +29,11 @@ from .signal import (
     TrajectoryConfig,
     generate_trajectory,
     add_noise,
-    mse,
     write_csv,
 )
 
-METHODS = ("conventional", "improved")
+# Every value a run's band may take: "none" (conventional) or one band.
+FILTERS = ("none",) + BAND_NAMES
 
 REPORT_HEADER = (
     "method,band,max_neurons,spread,sse_goal,seed,"
@@ -66,23 +68,27 @@ DEFAULT_TRAIN = TrainConfig(sse_goal=1e-6, max_neurons=100, spread=50.0)
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Everything one run needs: method, data model, filter and training knobs."""
+    """Everything one run needs: data model, band and training knobs.
 
-    method: str
+    band is one of FILTERS and decides the method: "none" trains the
+    conventional method on the noisy series, a band name the improved
+    method on that band of it.
+    """
+
     train: TrainConfig
     noise: NoiseConfig
     trajectory: TrajectoryConfig
-    band: str | None = None
+    band: str = "none"
     band_spec: BandSpec = DEFAULT_BAND_SPEC
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got '{self.method}'")
-        if self.method == "improved":
-            if self.band not in BAND_NAMES:
-                raise ValueError("improved method requires band in " + str(BAND_NAMES))
-        elif self.band is not None:
-            raise ValueError("conventional method must not set a band")
+        if self.band not in FILTERS:
+            raise ValueError(f"band must be one of {FILTERS}, got {self.band!r}")
+
+    @property
+    def method(self) -> str:
+        """The method the band selects: conventional for "none", else improved."""
+        return "conventional" if self.band == "none" else "improved"
 
 
 @dataclass
@@ -99,8 +105,6 @@ class BenchmarkResult:
     config: MethodConfig
     elapsed_train_seconds: float
     filter_seconds: float
-    neurons_used: int
-    final_sse: float
     output_mse: float
     trace: TrainTrace
     network: RbfNetwork
@@ -120,11 +124,6 @@ class PlotData:
     learned: np.ndarray
 
 
-def build_dataset(series: PositionSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Regression encoding: time in seconds (n, 1) -> position (n, 3)."""
-    return series.timestamps[:, None].copy(), series.samples.copy()
-
-
 def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
     """Run one method end to end and measure its training wall time.
 
@@ -137,7 +136,7 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
     clean = generate_trajectory(config.trajectory)
     noisy = add_noise(clean, config.noise)
 
-    if config.method == "improved":
+    if config.band != "none":
         t0 = time.perf_counter()
         target = select_band(noisy, config.band, config.band_spec).series
         filter_seconds = time.perf_counter() - t0
@@ -147,7 +146,8 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
         reference = clean
         filter_seconds = 0.0
 
-    inputs, targets = build_dataset(target)
+    # regression encoding: time in seconds (n, 1) -> position (n, 3)
+    inputs, targets = target.timestamps[:, None], target.samples
 
     if repeats > 1:
         train(inputs, targets, config.train)  # warm-up, discarded
@@ -164,8 +164,6 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
         config=config,
         elapsed_train_seconds=statistics.median(times),
         filter_seconds=filter_seconds,
-        neurons_used=net.n_centers,
-        final_sse=float(trace.sse_history[-1]),
         output_mse=output_mse,
         trace=trace,
         network=net,
@@ -173,22 +171,6 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
         outputs=outputs,
         reference=reference,
     )
-
-
-def method_pair(
-    train_config: TrainConfig,
-    band: str,
-    band_spec: BandSpec = DEFAULT_BAND_SPEC,
-    noise: NoiseConfig = DEFAULT_NOISE,
-    trajectory: TrajectoryConfig = DEFAULT_TRAJECTORY,
-) -> tuple[MethodConfig, MethodConfig]:
-    """Conventional/improved pair sharing the identical signal and seed."""
-    conventional = MethodConfig(
-        method="conventional", train=train_config, noise=noise, trajectory=trajectory,
-        band_spec=band_spec,
-    )
-    improved = replace(conventional, method="improved", band=band)
-    return conventional, improved
 
 
 def build_grid(
@@ -199,40 +181,35 @@ def build_grid(
     band_spec: BandSpec = DEFAULT_BAND_SPEC,
     noise: NoiseConfig = DEFAULT_NOISE,
     trajectory: TrajectoryConfig = DEFAULT_TRAJECTORY,
-) -> list[tuple[MethodConfig, ...]]:
+) -> list[MethodConfig]:
     """Cross-product benchmark grid in flag order (sse, nnsize, spread, band).
 
-    Each band cell yields a (conventional, improved) pair; the pseudo-band
-    'none' yields a lone conventional run.
+    Each cell gives a conventional run, then, unless its band is "none",
+    the improved run on that band; both share the identical signal and seed.
     """
-    grid: list[tuple[MethodConfig, ...]] = []
+    configs = []
     for sse_goal, nnsize, spread, band in itertools.product(
         sse_goal_list, max_neurons_list, spread_list, bands
     ):
-        tc = TrainConfig(sse_goal=sse_goal, max_neurons=nnsize, spread=spread)
-        if band == "none":
-            grid.append(
-                (MethodConfig(method="conventional", train=tc, noise=noise,
-                              trajectory=trajectory, band_spec=band_spec),)
-            )
-        else:
-            grid.append(method_pair(tc, band, band_spec, noise, trajectory))
-    return grid
+        conventional = MethodConfig(
+            train=TrainConfig(sse_goal=sse_goal, max_neurons=nnsize, spread=spread),
+            noise=noise, trajectory=trajectory, band_spec=band_spec,
+        )
+        configs.append(conventional)
+        if band != "none":
+            configs.append(replace(conventional, band=band))
+    return configs
 
 
-def run_table(grid: Iterable[tuple[MethodConfig, ...]], repeats: int = 1) -> list[BenchmarkResult]:
-    """Run every grid cell serially, emitting results in grid order.
+def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[BenchmarkResult]:
+    """Run every config serially, emitting results in the order given.
 
-    Timed runs must own the process; cells are never executed concurrently.
+    Timed runs must own the process; runs are never executed concurrently.
     """
-    grid = list(grid)
-    if not grid:
+    configs = list(configs)
+    if not configs:
         raise ValueError("benchmark grid is empty")
-    results = []
-    for cell in grid:
-        for config in cell:
-            results.append(run_method(config, repeats=repeats))
-    return results
+    return [run_method(config, repeats=repeats) for config in configs]
 
 
 def emit_plot_data(result: BenchmarkResult,
@@ -279,15 +256,15 @@ def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
         cfg = r.config
         rows.append(",".join([
             cfg.method,
-            cfg.band if cfg.band is not None else "none",
+            cfg.band,
             str(cfg.train.max_neurons),
             _fmt(cfg.train.spread),
             _fmt(cfg.train.sse_goal),
             str(cfg.noise.seed),
             _fmt(r.elapsed_train_seconds),
             _fmt(r.filter_seconds),
-            str(r.neurons_used),
-            _fmt(r.final_sse),
+            str(r.network.n_centers),
+            _fmt(r.trace.sse_history[-1]),
             _fmt(r.output_mse),
             r.trace.stop_reason,
             str(int(np.count_nonzero(np.diff(r.trace.sse_history) < 0))),

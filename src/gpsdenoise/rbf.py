@@ -79,18 +79,12 @@ class RbfNetwork:
         w = np.atleast_2d(np.asarray(self.output_weights, dtype=np.float64))
         b = np.asarray(self.output_bias, dtype=np.float64).ravel()
         _check_spread(self.spread)
-        if c.shape[0] == 0:
-            c = c.reshape(0, max(1, c.shape[1] if c.ndim == 2 else 1))
         if w.shape[0] != c.shape[0]:
-            # allow (0, m) weights passed as empty
-            if w.size == 0 and c.shape[0] == 0:
-                w = w.reshape(0, b.size)
-            else:
-                raise ValueError(
-                    f"output_weights rows ({w.shape[0]}) must equal number of "
-                    f"centers ({c.shape[0]})"
-                )
-        if w.shape[0] and w.shape[1] != b.size:
+            raise ValueError(
+                f"output_weights rows ({w.shape[0]}) must equal number of "
+                f"centers ({c.shape[0]})"
+            )
+        if w.shape[1] != b.size:
             raise ValueError("output_weights columns must match output_bias length")
         for arr in (c, w, b):
             if not np.isfinite(arr).all():

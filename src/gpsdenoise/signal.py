@@ -113,8 +113,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         sinusoids = tuple(tuple(s) for s in self.sinusoids)
         if len(sinusoids) != 3:
             raise ValueError("sinusoids must have one sequence per component (3)")
@@ -141,8 +141,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

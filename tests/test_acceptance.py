@@ -187,7 +187,6 @@ def test_criterion_8_figure_reproduction():
         offset=(3.0, -2.0, 10.0),
     )
     noiseless = MethodConfig(
-        method="conventional",
         train=TrainConfig(sse_goal=0.0, max_neurons=48, spread=3.0),
         noise=NoiseConfig(sigma=0.0, seed=5), trajectory=traj,
     )
@@ -200,7 +199,7 @@ def test_criterion_8_figure_reproduction():
     # default noisy run: along the stage-ordered teaching curve the error in
     # the final quarter of samples must not exceed the first quarter's
     default_run = MethodConfig(
-        method="improved", band="low", train=DEFAULT_TRAIN,
+        band="low", train=DEFAULT_TRAIN,
         noise=DEFAULT_NOISE, trajectory=DEFAULT_TRAJECTORY,
     )
     r1 = run_method(default_run)

@@ -1,14 +1,17 @@
 """End-to-end tests of the command-line interface."""
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpsdenoise.cli import main
+from gpsdenoise.pipeline import DEFAULT_TRAJECTORY, build_grid, run_table
 from gpsdenoise.signal import read_series
 
 # config file with a small signal so CLI runs stay fast; doubles as
@@ -306,6 +309,8 @@ class TestExitCodes:
         ("plot-data", {"method": "improved", "band": "low",
                        "train": {"max_neurons": 5}, "components": ["north"]}, "method"),
         ("generate", {"noise": {"seed": -3}}, "seed"),
+        ("plot-data", {"noise": {"sigma": float("nan")}}, "sigma"),
+        ("generate", {"trajectory": {"n_samples": 64, "dt": float("inf")}}, "dt"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -329,6 +334,11 @@ class TestExitCodes:
         pytest.param(["plot-data", "--spread", "1e-160", "--nnsize", "3",
                       "--component", "north"], "spread",
                      marks=pytest.mark.filterwarnings("error")),
+        (["generate", "--sigma", "nan"], "sigma"),
+        (["generate", "--noisy", "--sigma", "nan"], "sigma"),
+        (["generate", "--sigma", "inf"], "sigma"),
+        (["generate", "--dt", "nan"], "dt"),
+        (["generate", "--dt", "inf"], "dt"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])
@@ -353,6 +363,16 @@ class TestExitCodes:
         assert "gpsdenoise" in capsys.readouterr().out
 
 
+def _load_benchmark(name: str):
+    """Import benchmarks/<name>.py by path; the benchmark is not a package."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_patch_points_are_bound(tmp_path, small_config):
     """Every name the benchmark tracer wraps must still be bound where it looks it up.
 
@@ -361,10 +381,7 @@ def test_benchmark_patch_points_are_bound(tmp_path, small_config):
     rbf.solve_output_weights exactly once per training, and the facts the
     tracer reads from each training (sse_history, output_weights) must exist.
     """
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_benchmark("tracer")
     for mod_name, names in tracer.PATCH_POINTS:
         module = importlib.import_module(f"gpsdenoise.{mod_name}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
@@ -385,3 +402,22 @@ def test_benchmark_patch_points_are_bound(tmp_path, small_config):
     assert metrics["rbf.solve_output_weights.calls"] == metrics["rbf.train.calls"]
     assert metrics["rbf.train.stages"] > 0
     assert metrics["rbf.train.weight_absmax"] > 0
+
+
+def test_benchmark_reads_what_a_run_returns():
+    """The benchmark's checks and summaries read run results by field name.
+
+    A renamed result or config field would otherwise surface only as a
+    failed benchmark operation, so a tiny grid goes through the same
+    checks here.
+    """
+    workloads = _load_benchmark("workloads")
+    trajectory = dataclasses.replace(DEFAULT_TRAJECTORY, n_samples=512)
+    configs = build_grid([4], [50.0], [0.0], ["none", "low"], trajectory=trajectory)
+    op = workloads.Op(argv=[])
+    op.results = run_table(configs)
+    op.check_results(len(configs))
+    op.release()
+    assert op.problems == []
+    assert [r.method for r in op.results] == ["conventional", "conventional", "improved"]
+    assert all(r.stages == 4 for r in op.results)

@@ -1,15 +1,17 @@
 """Tests for the conventional-vs-improved benchmark pipeline."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gpsdenoise.bandfilter import BandSpec
 from gpsdenoise.pipeline import (
+    FILTERS,
     PLOT_HEADER,
     REPORT_HEADER,
     MethodConfig,
     build_grid,
     emit_plot_data,
-    method_pair,
     run_method,
     run_table,
     write_plot_data,
@@ -35,27 +37,25 @@ SMALL_NOISE = NoiseConfig(sigma=0.05, seed=424242)
 
 
 def _pair(sse_goal=1e-6, max_neurons=24, spread=10.0, band="low"):
-    return method_pair(
-        TrainConfig(sse_goal=sse_goal, max_neurons=max_neurons, spread=spread),
-        band, SMALL_SPEC, SMALL_NOISE, SMALL_TRAJECTORY,
-    )
+    """The (conventional, improved) configs of one one-cell grid."""
+    return build_grid([max_neurons], [spread], [sse_goal], [band],
+                      SMALL_SPEC, SMALL_NOISE, SMALL_TRAJECTORY)
 
 
 class TestMethodConfig:
-    def test_improved_requires_band(self):
+    @pytest.mark.parametrize("band", ["ultra", None, "LOW"])
+    def test_unknown_band(self, band):
         with pytest.raises(ValueError, match="band"):
-            MethodConfig(method="improved", train=TrainConfig(0.0, 4, 1.0),
+            MethodConfig(band=band, train=TrainConfig(0.0, 4, 1.0),
                          noise=SMALL_NOISE, trajectory=SMALL_TRAJECTORY)
 
-    def test_conventional_rejects_band(self):
-        with pytest.raises(ValueError, match="band"):
-            MethodConfig(method="conventional", band="low", train=TrainConfig(0.0, 4, 1.0),
-                         noise=SMALL_NOISE, trajectory=SMALL_TRAJECTORY)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            MethodConfig(method="magic", train=TrainConfig(0.0, 4, 1.0),
-                         noise=SMALL_NOISE, trajectory=SMALL_TRAJECTORY)
+    def test_method_follows_band(self):
+        config = MethodConfig(train=TrainConfig(0.0, 4, 1.0), noise=SMALL_NOISE,
+                              trajectory=SMALL_TRAJECTORY)
+        assert config.band == "none"
+        assert config.method == "conventional"
+        for band in FILTERS[1:]:
+            assert replace(config, band=band).method == "improved"
 
 
 class TestRunMethod:
@@ -67,7 +67,6 @@ class TestRunMethod:
             offset=(3.0, -2.0, 10.0),
         )
         cfg = MethodConfig(
-            method="conventional",
             train=TrainConfig(sse_goal=0.0, max_neurons=48, spread=3.0),
             noise=NoiseConfig(sigma=0.0, seed=5),
             trajectory=traj, band_spec=BandSpec(0.01, 0.2),
@@ -87,10 +86,8 @@ class TestRunMethod:
         tc = TrainConfig(sse_goal=0.0, max_neurons=12, spread=12.0)
         noise = NoiseConfig(sigma=0.02, seed=77)
         spec = BandSpec(0.05, 0.3)
-        conv = MethodConfig(method="conventional", train=tc, noise=noise,
-                            trajectory=traj, band_spec=spec)
-        impr = MethodConfig(method="improved", band="low", train=tc, noise=noise,
-                            trajectory=traj, band_spec=spec)
+        conv = MethodConfig(train=tc, noise=noise, trajectory=traj, band_spec=spec)
+        impr = MethodConfig(band="low", train=tc, noise=noise, trajectory=traj, band_spec=spec)
         rc, ri = run_method(conv), run_method(impr)
         assert ri.output_mse <= 2.0 * rc.output_mse
         assert rc.output_mse <= 2.0 * ri.output_mse
@@ -101,8 +98,7 @@ class TestRunMethod:
         assert rc.elapsed_train_seconds >= 0.0
         assert rc.filter_seconds == 0.0
         assert ri.filter_seconds > 0.0
-        assert rc.neurons_used == len(rc.trace.selected_indices)
-        assert rc.final_sse == rc.trace.sse_history[-1]
+        assert rc.network.n_centers == len(rc.trace.selected_indices)
         assert rc.output_mse >= 0.0
 
     def test_rejects_bad_repeats(self):
@@ -126,7 +122,7 @@ class TestRunMethod:
 
 class TestRunTable:
     def test_single_pair_contract(self):
-        results = run_table([_pair()])
+        results = run_table(_pair())
         assert len(results) == 2
         conv, impr = results
         assert conv.config.method == "conventional"
@@ -137,9 +133,9 @@ class TestRunTable:
 
     def test_table_one_shape_gives_eight_rows(self, tmp_path):
         # the four published (nnsize, spread) columns, two methods each
-        grid = [_pair(max_neurons=nn, spread=sc)
-                for nn, sc in ((12, 6.0), (12, 10.0), (24, 10.0), (24, 20.0))]
-        results = run_table(grid)
+        configs = [config for nn, sc in ((12, 6.0), (12, 10.0), (24, 10.0), (24, 20.0))
+                   for config in _pair(max_neurons=nn, spread=sc)]
+        results = run_table(configs)
         assert len(results) == 8
         path = tmp_path / "report.csv"
         write_report(results, path)
@@ -149,13 +145,12 @@ class TestRunTable:
         assert all(len(line.split(",")) == 14 for line in lines)
 
     def test_rerun_non_timing_fields_identical(self):
-        grid = [_pair(max_neurons=8)]
-        a = run_table(grid)
-        b = run_table(grid)
+        configs = _pair(max_neurons=8)
+        a = run_table(configs)
+        b = run_table(configs)
         for ra, rb in zip(a, b):
             assert ra.output_mse == rb.output_mse
-            assert ra.final_sse == rb.final_sse
-            assert ra.neurons_used == rb.neurons_used
+            assert ra.network.n_centers == rb.network.n_centers
             assert np.array_equal(ra.trace.sse_history, rb.trace.sse_history)
 
     def test_empty_grid_rejected(self):
@@ -163,15 +158,18 @@ class TestRunTable:
             run_table([])
 
     def test_build_grid_cells(self):
-        grid = build_grid([8, 12], [5.0], [1e-6], ["low"],
-                          SMALL_SPEC, SMALL_NOISE, SMALL_TRAJECTORY)
-        assert len(grid) == 2
-        assert all(len(cell) == 2 for cell in grid)
-        none_grid = build_grid([8], [5.0], [1e-6], ["none"],
-                               SMALL_SPEC, SMALL_NOISE, SMALL_TRAJECTORY)
-        assert len(none_grid) == 1
-        assert len(none_grid[0]) == 1
-        assert none_grid[0][0].method == "conventional"
+        # flag order (sse, nnsize, spread, band); each cell gives a
+        # conventional run, then the improved one unless its band is "none"
+        configs = build_grid([8, 12], [5.0], [1e-6], ["none", "low"],
+                             SMALL_SPEC, SMALL_NOISE, SMALL_TRAJECTORY)
+        assert [(c.train.max_neurons, c.method, c.band) for c in configs] == [
+            (8, "conventional", "none"),
+            (8, "conventional", "none"), (8, "improved", "low"),
+            (12, "conventional", "none"),
+            (12, "conventional", "none"), (12, "improved", "low"),
+        ]
+        assert all(c.noise == SMALL_NOISE and c.trajectory == SMALL_TRAJECTORY
+                   and c.band_spec == SMALL_SPEC for c in configs)
 
 
 class TestPlotData:
@@ -195,7 +193,6 @@ class TestPlotData:
             sinusoids=((Sinusoid(1.0, 0.02, 0.3),), (), ()),
         )
         cfg = MethodConfig(
-            method="conventional",
             train=TrainConfig(sse_goal=0.0, max_neurons=48, spread=3.0),
             noise=NoiseConfig(sigma=0.0, seed=1), trajectory=traj,
         )
@@ -264,7 +261,7 @@ class TestReport:
     def test_band_column_none_for_conventional(self, tmp_path):
         conv, impr = _pair(max_neurons=6)
         path = tmp_path / "r.csv"
-        write_report(run_table([(conv, impr)]), path)
+        write_report(run_table([conv, impr]), path)
         rows = path.read_text().splitlines()[1:]
         assert rows[0].split(",")[1] == "none"
         assert rows[1].split(",")[1] == "low"
@@ -283,7 +280,7 @@ class TestReport:
 
     def test_stop_and_stage_columns_agree_with_the_run(self, tmp_path):
         # spread 30 on the small signal leaves some stages in the span
-        results = run_table([_pair(max_neurons=24, spread=30.0)])
+        results = run_table(_pair(max_neurons=24, spread=30.0))
         path = tmp_path / "r.csv"
         write_report(results, path)
         lines = path.read_text().splitlines()
@@ -295,4 +292,4 @@ class TestReport:
             assert cells[11] == result.trace.stop_reason
             assert int(cells[12]) == sum(b < a for a, b in zip(history, history[1:]))
             assert float(cells[13]) == np.max(np.abs(result.network.output_weights))
-        assert int(lines[1].split(",")[12]) < results[0].neurons_used
+        assert int(lines[1].split(",")[12]) < results[0].network.n_centers

@@ -55,7 +55,7 @@ class BandDecomposition(NamedTuple):
     high: BandComponent
 
 
-def _validate(series: PositionSeries, spec: BandSpec) -> float:
+def _validate(series: PositionSeries, spec: BandSpec) -> None:
     if len(series) < 2:
         raise ValueError("band decomposition needs at least two samples")
     nyq = series.nyquist
@@ -64,7 +64,6 @@ def _validate(series: PositionSeries, spec: BandSpec) -> float:
             f"cutoffs ({spec.low_cutoff}, {spec.high_cutoff}) Hz must lie strictly "
             f"inside (0, {nyq}) Hz for this series"
         )
-    return nyq
 
 
 def decompose(series: PositionSeries, spec: BandSpec) -> BandDecomposition:

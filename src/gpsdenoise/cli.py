@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import platform
 import sys
 from pathlib import Path
@@ -40,9 +39,9 @@ from .rbf import TrainConfig
 from .signal import (
     COMPONENTS,
     NoiseConfig,
-    SeriesFormatError,
     Sinusoid,
     TrajectoryConfig,
+    check_dt,
     generate_trajectory,
     write_series,
 )
@@ -170,8 +169,7 @@ def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
     if dt is not None and dt != trajectory.dt:
         # a dt override stretches the time axis: every sinusoid keeps its
         # cycles-per-sample position, so the shape stays below Nyquist
-        if not 0 < dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        check_dt(dt)
         scale = trajectory.dt / dt
         overrides["dt"] = dt
         overrides["sinusoids"] = tuple(
@@ -331,9 +329,16 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag in one line like any other usage error; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"gpsdenoise: error: {message}\n")
+
+
 @functools.cache  # parse_args keeps no state; building costs ten parses
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpsdenoise",
         description="Benchmark conventional vs band-filtered RBF denoising of GPS position series.",
     )
@@ -390,7 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SeriesFormatError) as exc:
+    except ValueError as exc:
         print(f"gpsdenoise: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -108,7 +108,6 @@ class BenchmarkResult:
     output_mse: float
     trace: TrainTrace
     network: RbfNetwork
-    inputs: np.ndarray
     outputs: np.ndarray
     reference: PositionSeries
 
@@ -167,7 +166,6 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
         output_mse=output_mse,
         trace=trace,
         network=net,
-        inputs=inputs,
         outputs=outputs,
         reference=reference,
     )
@@ -226,10 +224,10 @@ def emit_plot_data(result: BenchmarkResult,
     for component in components:
         if component not in COMPONENTS:
             raise ValueError(f"component must be one of {COMPONENTS}, got '{component}'")
-    inputs = result.inputs
+    inputs = result.reference.timestamps[:, None]
     n = inputs.shape[0]
     n_stages = len(result.trace.sse_history)
-    stage_of_sample = np.minimum((np.arange(n) * n_stages) // n, n_stages - 1)
+    stage_of_sample = (np.arange(n) * n_stages) // n
     teaching = np.empty_like(result.outputs)
     for stage in np.unique(stage_of_sample):
         mask = stage_of_sample == stage

@@ -66,7 +66,8 @@ class TrainConfig:
 class RbfNetwork:
     """Trained network: Gaussian centers plus linear output layer.
 
-    centers: (k, d); output_weights: (k, output_dim); output_bias: (output_dim,).
+    The one accepted shape of each: centers (k, d) with d >= 1, k >= 0;
+    output_weights (k, m); output_bias (m,).
     """
 
     centers: np.ndarray
@@ -75,17 +76,14 @@ class RbfNetwork:
     output_bias: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
-        w = np.atleast_2d(np.asarray(self.output_weights, dtype=np.float64))
-        b = np.asarray(self.output_bias, dtype=np.float64).ravel()
+        c = np.asarray(self.centers, dtype=np.float64)
+        w = np.asarray(self.output_weights, dtype=np.float64)
+        b = np.asarray(self.output_bias, dtype=np.float64)
         _check_spread(self.spread)
-        if w.shape[0] != c.shape[0]:
-            raise ValueError(
-                f"output_weights rows ({w.shape[0]}) must equal number of "
-                f"centers ({c.shape[0]})"
-            )
-        if w.shape[1] != b.size:
-            raise ValueError("output_weights columns must match output_bias length")
+        if c.ndim != 2 or c.shape[1] == 0 or b.ndim != 1 or w.shape != (c.shape[0], b.size):
+            raise ValueError(f"centers {c.shape}, output_weights {w.shape} and output_bias "
+                             f"{b.shape} must have shapes (k, d) with d >= 1, (k, m) and (m,): "
+                             f"k weight rows for k centers, m weight columns for m bias entries")
         for arr in (c, w, b):
             if not np.isfinite(arr).all():
                 raise ValueError("network parameters must be finite")
@@ -97,10 +95,6 @@ class RbfNetwork:
     @property
     def n_centers(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.centers.shape[1]
 
 
 @dataclass
@@ -146,8 +140,6 @@ def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarra
     Squared distances accumulate one input dimension at a time in one
     (n, k) buffer, which is then exponentiated in place.
     """
-    if centers.shape[0] == 0:
-        return np.empty((X.shape[0], 0))
     sq = np.subtract.outer(X[:, 0], centers[:, 0])
     sq *= sq
     for x, c in zip(X.T[1:], centers.T[1:]):
@@ -159,12 +151,14 @@ def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarra
 
 
 # A grid is accepted for ToeplitzKernel when its worst deviation from the
-# straight line through its end points is at most this fraction of the
-# spread. The Toeplitz entry K[i, j] = c[|i - j|] is evaluated at the
-# distance x[|i-j|] - x[0] instead of x[i] - x[j]; those differ by at most
-# three deviations, and |d/dr exp(-(r/s)^2)| <= sqrt(2/e)/s, so every entry
-# stays within sqrt(2/e) * 3 * 3e-13 = 7.7e-13 of the dense kernel, whose
-# diagonal is 1; the rest of 1e-12 covers rounding in the line itself.
+# straight line through its end points is at most tol = max(3e-13 * s,
+# 4 * eps * max|x|) for spread s: the larger of this fraction of the spread
+# and the rounding the stored inputs carry (i * dt rounds by eps/2 * |x|).
+# The Toeplitz entry K[i, j] = c[|i - j|] is evaluated at the distance
+# x[|i-j|] - x[0] instead of x[i] - x[j]; those differ by at most three
+# deviations, and |d/dr exp(-(r/s)^2)| <= sqrt(2/e)/s, so every entry stays
+# within 3 * sqrt(2/e) * tol / s + 2.3e-13 of the dense kernel, whose
+# diagonal is 1; the 2.3e-13 covers rounding in the line itself.
 _GRID_TOL = 3e-13
 
 
@@ -242,28 +236,26 @@ def kernel_operator(X: np.ndarray, spread: float) -> DenseKernel | ToeplitzKerne
     """The kernel operator for inputs X of shape (n, d), chosen from X alone.
 
     ToeplitzKernel when X is one column of at least two values on a constant
-    step, to within _GRID_TOL * spread; DenseKernel otherwise.
+    step, to within the tolerance stated at _GRID_TOL; DenseKernel otherwise.
     """
     n = X.shape[0]
     if X.shape[1] == 1 and n >= 2:
         x = X[:, 0]
         line = x[0] + (x[-1] - x[0]) / (n - 1) * np.arange(n)
-        if float(np.max(np.abs(x - line))) <= _GRID_TOL * spread:
+        rounding = 4 * np.finfo(np.float64).eps * float(np.max(np.abs(x)))
+        if float(np.max(np.abs(x - line))) <= max(_GRID_TOL * spread, rounding):
             return ToeplitzKernel(X, spread)
     return DenseKernel(X, spread)
 
 
 def forward(net: RbfNetwork, inputs) -> np.ndarray:
-    """Evaluate the network on one d-vector or a batch of shape (n, d)."""
+    """Outputs (n, m) for inputs (n, d), d the width of net.centers even with no
+    centers; any other input shape is a ValueError."""
     x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if net.n_centers and x.shape[1] != net.input_dim:
-        raise ValueError(f"input dimension {x.shape[1]} != network dimension {net.input_dim}")
-    acts = _activations(x, net.centers, net.spread)
-    out = net.output_bias + acts @ net.output_weights
-    return out[0] if single else out
+    d = net.centers.shape[1]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"inputs must have shape (n, {d}), the input dimension, got {x.shape}")
+    return net.output_bias + _activations(x, net.centers, net.spread) @ net.output_weights
 
 
 def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +263,9 @@ def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.nd
 
     design: (r, k+1) with k activation columns followed by the bias column
     (all ones for the n-row design; TrainTrace.stage_weights passes an
-    r <= k+1 row block of the factor R instead); targets: (r, m). Returns
-    (weights, bias) minimizing the Frobenius residual; rank-deficient
+    r <= k+1 row block of the factor R instead); targets: (r, m), also for
+    m = 1. Any other shape is a ValueError. Returns weights (k, m) and
+    bias (m,) minimizing the Frobenius residual; rank-deficient
     designs fall back to the minimum-norm solution (singular values below
     1e-12 of the largest are dropped).
     """
@@ -280,10 +273,8 @@ def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.nd
     Y = np.asarray(targets, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] < 1:
         raise ValueError("design must be a 2-d matrix with at least one row")
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.shape[0] != D.shape[0]:
-        raise ValueError("design and targets must have the same number of rows")
+    if Y.ndim != 2 or Y.shape[0] != D.shape[0]:
+        raise ValueError(f"targets must be 2-d with the design's {D.shape[0]} rows, got {Y.shape}")
     if not np.isfinite(D).all() or not np.isfinite(Y).all():
         raise ValueError("design and targets must be finite")
     params, _, _, _ = np.linalg.lstsq(D, Y, rcond=_LSTSQ_RCOND)
@@ -291,7 +282,7 @@ def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.nd
 
 
 def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]:
-    """Greedy incremental training.
+    """Greedy incremental training on inputs (n, d) and targets (n, m), both 2-d.
 
     Starts from the bias-only model (bias = column means of the targets),
     then repeatedly promotes the not-yet-used training input whose kernel
@@ -319,15 +310,12 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     columns are the activations forward() computes. Deterministic:
     identical inputs, targets and config give identical results.
 
-    Raises ValueError for malformed or non-finite data, and for a spread so
-    small against the input span that (span / spread)^2 overflows.
+    Raises ValueError for any other shape, for empty or non-finite data,
+    and for a spread so small against the input span that (span / spread)^2
+    overflows.
     """
     X = np.asarray(inputs, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     Y = np.asarray(targets, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] == 0:
         raise ValueError("inputs and targets must be 2-d matrices with at least one input column")
     n = X.shape[0]
@@ -463,7 +451,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     )
     weights, bias = trace.stage_weights(len(chosen))
     net = RbfNetwork(
-        centers=X[chosen].reshape(len(chosen), X.shape[1]),
+        centers=X[chosen],
         spread=config.spread,
         output_weights=weights,
         output_bias=bias,

@@ -311,6 +311,8 @@ class TestExitCodes:
         ("generate", {"noise": {"seed": -3}}, "seed"),
         ("plot-data", {"noise": {"sigma": float("nan")}}, "sigma"),
         ("generate", {"trajectory": {"n_samples": 64, "dt": float("inf")}}, "dt"),
+        # positive and finite, but its Nyquist frequency 0.5 / dt is inf
+        ("generate", {"trajectory": {"n_samples": 8, "dt": 1e-310}}, "dt"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -339,6 +341,8 @@ class TestExitCodes:
         (["generate", "--sigma", "inf"], "sigma"),
         (["generate", "--dt", "nan"], "dt"),
         (["generate", "--dt", "inf"], "dt"),
+        (["generate", "--dt", "1e-310"], "dt"),
+        (["generate", "--dt", "5e-324"], "dt"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])
@@ -347,6 +351,18 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("gpsdenoise: error:") and word in err[0]
         assert not list(tmp_path.glob("plot_*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["plot-data", "--filter", "ultra"],
+        ["bench", "--nnsize", "8,abc"],
+        [],
+    ], ids=["bad-choice", "malformed-list", "no-subcommand"])
+    def test_parser_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gpsdenoise: error:")
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

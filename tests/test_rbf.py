@@ -44,6 +44,17 @@ class TestRbfNetwork:
             RbfNetwork(centers=np.array([[np.inf]]), spread=1.0,
                        output_weights=np.zeros((1, 1)), output_bias=np.zeros(1))
 
+    @pytest.mark.parametrize("centers, weights, bias", [
+        # three numbers were once taken as one 3-d center: no shape is guessed
+        ([0.0, 1.0, 2.0], np.ones(1), [0.0]),
+        (np.zeros((3, 1)), np.ones(3), [0.0]),
+        (np.zeros((3, 1)), np.ones((3, 1)), [[0.0]]),
+        (np.zeros((0, 0)), np.zeros((0, 1)), [0.0]),
+    ], ids=["1d-centers", "1d-weights", "2d-bias", "0-dim-centers"])
+    def test_rejects_any_other_shape(self, centers, weights, bias):
+        with pytest.raises(ValueError, match=r"shapes \(k, d\) with d >= 1, \(k, m\) and \(m,\)"):
+            RbfNetwork(centers=centers, spread=1.0, output_weights=weights, output_bias=bias)
+
     @pytest.mark.parametrize("spread", [math.nan, math.inf, 1e-300, 1e200])
     def test_rejects_spread_without_a_finite_positive_square(self, spread):
         with pytest.raises(ValueError, match="spread"):
@@ -55,14 +66,14 @@ class TestForward:
     def test_zero_centers_returns_bias(self):
         net = RbfNetwork(centers=np.zeros((0, 2)), spread=1.0,
                          output_weights=np.zeros((0, 3)), output_bias=np.array([1.0, -2.0, 0.5]))
-        assert np.array_equal(forward(net, np.array([9.0, 9.0])), [1.0, -2.0, 0.5])
+        assert np.array_equal(forward(net, np.array([[9.0, 9.0]])), [[1.0, -2.0, 0.5]])
 
     def test_on_center_evaluation(self):
         c = np.array([0.3, -0.7])
         w = np.array([[2.0, 5.0]])
         net = RbfNetwork(centers=c[None, :], spread=1.3,
                          output_weights=w, output_bias=np.zeros(2))
-        assert np.allclose(forward(net, c), w[0], rtol=0, atol=1e-15)
+        assert np.allclose(forward(net, c[None, :]), w, rtol=0, atol=1e-15)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(17)
@@ -85,7 +96,14 @@ class TestForward:
         net = RbfNetwork(centers=np.zeros((1, 2)), spread=1.0,
                          output_weights=np.zeros((1, 1)), output_bias=np.zeros(1))
         with pytest.raises(ValueError, match="dimension"):
-            forward(net, np.zeros(3))
+            forward(net, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_rejects_one_vector(self, k):
+        net = RbfNetwork(centers=np.zeros((k, 2)), spread=1.0,
+                         output_weights=np.zeros((k, 1)), output_bias=np.zeros(1))
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            forward(net, np.zeros(2))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", [0, 1, 7])
@@ -108,7 +126,7 @@ class TestForward:
         net, _ = train(X, Y, TrainConfig(sse_goal=1e-12, max_neurons=5, spread=0.5))
         batch = forward(net, X)
         for i in range(X.shape[0]):
-            assert np.allclose(batch[i], forward(net, X[i]), rtol=1e-13, atol=1e-13)
+            assert np.allclose(batch[i], forward(net, X[i:i + 1])[0], rtol=1e-13, atol=1e-13)
 
 
 class TestSolveOutputWeights:
@@ -153,6 +171,11 @@ class TestSolveOutputWeights:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             solve_output_weights(np.array([[1.0], [np.nan]]), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("targets", [np.zeros(2), np.zeros((3, 1))], ids=["1d", "rows"])
+    def test_rejects_targets_of_another_shape(self, targets):
+        with pytest.raises(ValueError, match="2-d with the design's 2 rows"):
+            solve_output_weights(np.ones((2, 1)), targets)
 
 
 class TestTrain:
@@ -301,6 +324,13 @@ class TestTrain:
             train(np.zeros((3, 1)), np.zeros((4, 1)), cfg)
         with pytest.raises(ValueError, match="input column"):
             train(np.zeros((3, 0)), np.zeros((3, 1)), cfg)
+
+    @pytest.mark.parametrize("X, Y", [(np.arange(3.0), np.zeros((3, 1))),
+                                      (np.arange(3.0)[:, None], np.zeros(3))],
+                             ids=["1d-inputs", "1d-targets"])
+    def test_rejects_one_vector(self, X, Y):
+        with pytest.raises(ValueError, match="2-d matrices"):
+            train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=2, spread=1.0))
 
     @pytest.mark.parametrize("X, spread", [
         # spread^2 = 1e-320 is positive, but 400^2 / 1e-320 is not finite
@@ -541,6 +571,39 @@ class TestKernelOperator:
         assert np.max(np.abs(toeplitz - DenseKernel(inside, spread).matrix)) <= 1e-12
         outside = (line + 1.5 * tol * jitter)[:, None]
         assert isinstance(kernel_operator(outside, spread), DenseKernel)
+
+    @pytest.mark.parametrize("spread", [1.0, 5.0])
+    def test_rounded_grid_takes_toeplitz_within_the_stated_bound(self, spread):
+        # The last 4096 samples of generate_trajectory's 100 000-sample grid
+        # at dt 0.1 (t from 9590.4 s) deviate from their line by 1.8e-12,
+        # the rounding of i * dt, above 3e-13 * spread at these spreads.
+        X = _grid(100_000)[-4096:]
+        n = X.shape[0]
+        op = kernel_operator(X, spread)
+        assert isinstance(op, ToeplitzKernel)
+        dense = DenseKernel(X, spread)
+        tol = max(3e-13 * spread, 4 * np.finfo(np.float64).eps * np.max(np.abs(X)))
+        entry_bound = 3 * math.sqrt(2 / math.e) * tol / spread + 2.3e-13
+        V = np.random.default_rng(9).normal(0.0, 1.0, (4, n))
+        # each product row sums n entries, each within entry_bound
+        product_bound = entry_bound * np.abs(V).sum(axis=1).max()
+        assert np.max(np.abs(op.matmul(V) - dense.matmul(V))) <= product_bound
+        # K[i, j] = c[|i - j|] as a strided view of [c reversed, c[1:]]
+        c = op.column(0)
+        lagged = np.lib.stride_tricks.sliding_window_view(np.concatenate([c[:0:-1], c]), n)
+        diff = np.subtract(dense.matrix, lagged[::-1], out=dense.matrix)
+        assert np.max(np.abs(diff)) <= entry_bound
+
+    def test_generated_grid_of_100k_samples_never_builds_the_dense_kernel(self, monkeypatch):
+        # _grid is the time axis generate_trajectory writes; the dense kernel
+        # would hold 80 GB at this length
+        from gpsdenoise import rbf
+
+        def refuse(X, spread):
+            raise AssertionError(f"DenseKernel built for {X.shape[0]} inputs")
+
+        monkeypatch.setattr(rbf, "DenseKernel", refuse)
+        assert isinstance(kernel_operator(_grid(100_000), 1.0), ToeplitzKernel)
 
     # Dense-path inputs with the indices and stop rule they selected before
     # the operator seam existed.

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -177,6 +178,11 @@ def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
             for comp in trajectory.sinusoids
         )
         overrides["drift"] = tuple(d * scale for d in trajectory.drift)
+        stretched = [s.frequency for comp in overrides["sinusoids"] for s in comp]
+        if not all(map(math.isfinite, [scale, *stretched, *overrides["drift"]])):
+            raise ValueError(f"dt {dt:g} stretches the config's trajectory.dt "
+                             f"{trajectory.dt:g} by {scale:g}: the stretch factor and every "
+                             f"stretched drift and frequency must be finite")
     if overrides:
         trajectory = dataclasses.replace(trajectory, **overrides)
 
@@ -230,11 +236,14 @@ def _csv_list(text: str, cast) -> list:
 
 
 def _check_names(kind: str, names: list, allowed: tuple) -> None:
+    """Reject an empty list, a name outside `allowed` and a name given twice."""
     if not names:
         raise ValueError(f"no {kind} given (use {', '.join(allowed)})")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in allowed:
             raise ValueError(f"unknown {kind} '{name}' (use {', '.join(allowed)})")
+        if name in names[:i]:
+            raise ValueError(f"{kind} '{name}' is given more than once")
 
 
 def cmd_generate(args) -> int:

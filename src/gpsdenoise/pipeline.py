@@ -6,7 +6,8 @@ other band is the improved method: it first selects that frequency band
 of the noisy series and trains on that. Runs are timed around the
 training call only, paired runs share the identical trajectory and noise
 realization, and all non-timing outputs are deterministic for a fixed
-seed.
+seed. A grid trains each of its columns (configs that differ only in
+neuron budget and SSE goal) once and cuts the other cells from that run.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bandfilter import BAND_NAMES, BandSpec, select_band
-from .rbf import RbfNetwork, TrainConfig, TrainTrace, forward, stage_network, train
+from .rbf import RbfNetwork, TrainConfig, TrainTrace, cut_run, forward, stage_network, train
 from .signal import (
     COMPONENTS,
     NoiseConfig,
@@ -96,10 +97,13 @@ class BenchmarkResult:
     """One benchmark table cell plus the artifacts needed for plot export.
 
     elapsed_train_seconds is the median over the timed repeats of the
-    training call alone; filter_seconds reports the band-selection cost
-    separately (zero for the conventional method). outputs is the network
-    output on the training inputs; output_mse compares it against the clean
-    reference (band-filtered clean reference for the improved method).
+    training call alone (see run_method for a cell cut from a longer run);
+    stage_seconds[k] is the median over the same repeats of the trainer's
+    clock at the end of stage k. filter_seconds reports the band-selection
+    cost separately (zero for the conventional method). outputs is the
+    network output on the training inputs; output_mse compares it against
+    the clean reference (band-filtered clean reference for the improved
+    method).
     """
 
     config: MethodConfig
@@ -110,6 +114,7 @@ class BenchmarkResult:
     network: RbfNetwork
     outputs: np.ndarray
     reference: PositionSeries
+    stage_seconds: np.ndarray
 
 
 @dataclass
@@ -123,15 +128,33 @@ class PlotData:
     learned: np.ndarray
 
 
-def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
+def _column(config: MethodConfig) -> tuple:
+    """What a config shares with every cell its run can be cut for: all but
+    the neuron budget and the SSE goal."""
+    return (config.noise, config.trajectory, config.band, config.band_spec,
+            config.train.spread)
+
+
+def run_method(config: MethodConfig, repeats: int = 1,
+               source: BenchmarkResult | None = None) -> BenchmarkResult:
     """Run one method end to end and measure its training wall time.
 
     With repeats > 1 an extra warm-up training run is discarded and
     elapsed_train_seconds is the median of the timed repeats; every repeat
     is the identical deterministic computation.
+
+    Given the result `source` of a run in the same column that went at
+    least as far, the network and trace are cut from it (rbf.cut_run)
+    instead of trained, and repeats is unused; signal, band and reference
+    are still built. A cut at the source's own last stage keeps its
+    elapsed_train_seconds; a shorter cut reports the source's
+    stage_seconds at its last stage plus the measured time of the cut,
+    which solves its output layer.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if source is not None and _column(source.config) != _column(config):
+        raise ValueError("a run can only be cut from a run of the same signal, band and spread")
     clean = generate_trajectory(config.trajectory)
     noisy = add_noise(clean, config.noise)
 
@@ -148,26 +171,42 @@ def run_method(config: MethodConfig, repeats: int = 1) -> BenchmarkResult:
     # regression encoding: time in seconds (n, 1) -> position (n, 3)
     inputs, targets = target.timestamps[:, None], target.samples
 
-    if repeats > 1:
-        train(inputs, targets, config.train)  # warm-up, discarded
-    times = []
-    net = trace = None
-    for _ in range(repeats):
+    if source is None:
+        if repeats > 1:
+            train(inputs, targets, config.train)  # warm-up, discarded
+        times = []
+        clocks = []
+        net = trace = None
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            net, trace = train(inputs, targets, config.train)
+            times.append(time.perf_counter() - t0)
+            clocks.append(trace.stage_seconds)
+        elapsed = statistics.median(times)
+        stage_seconds = np.median(clocks, axis=0)
+    else:
         t0 = time.perf_counter()
-        net, trace = train(inputs, targets, config.train)
-        times.append(time.perf_counter() - t0)
+        net, trace = cut_run(source.network, source.trace, config.train)
+        cut_seconds = time.perf_counter() - t0
+        stages = len(trace.sse_history)
+        stage_seconds = source.stage_seconds[:stages]
+        if stages == len(source.trace.sse_history):
+            elapsed = source.elapsed_train_seconds
+        else:
+            elapsed = float(stage_seconds[-1]) + cut_seconds
 
     outputs = forward(net, inputs)
     output_mse = float(np.mean((outputs - reference.samples) ** 2))
     return BenchmarkResult(
         config=config,
-        elapsed_train_seconds=statistics.median(times),
+        elapsed_train_seconds=elapsed,
         filter_seconds=filter_seconds,
         output_mse=output_mse,
         trace=trace,
         network=net,
         outputs=outputs,
         reference=reference,
+        stage_seconds=stage_seconds,
     )
 
 
@@ -202,12 +241,36 @@ def build_grid(
 def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[BenchmarkResult]:
     """Run every config serially, emitting results in the order given.
 
+    The configs fall into columns: cells that share noise, trajectory,
+    band, band spec and spread, and differ only in neuron budget and SSE
+    goal. Greedy training is nested in both, so a cell is cut from a
+    trained run of its column whose budget is at least its own and whose
+    goal is at most its own (identical configs share one run), and trains
+    only when no such run exists. Cells are visited by budget, largest
+    first, then by goal, smallest first, so each column trains once when
+    one of its cells has both the largest budget and the smallest goal.
+    Every config still gets one run_method call, and every result equals
+    a standalone run_method of its config in all but its timings.
+
     Timed runs must own the process; runs are never executed concurrently.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("benchmark grid is empty")
-    return [run_method(config, repeats=repeats) for config in configs]
+    order = sorted(range(len(configs)),
+                   key=lambda i: (-configs[i].train.max_neurons, configs[i].train.sse_goal))
+    trained: dict[tuple, BenchmarkResult] = {}  # the last trained run of each column
+    results: list[BenchmarkResult | None] = [None] * len(configs)
+    for i in order:
+        config = configs[i]
+        # the visiting order gives every trained run a budget at least this cell's
+        source = trained.get(_column(config))
+        if source is not None and source.config.train.sse_goal > config.train.sse_goal:
+            source = None
+        results[i] = run_method(config, repeats=repeats, source=source)
+        if source is None:
+            trained[_column(config)] = results[i]
+    return results
 
 
 def emit_plot_data(result: BenchmarkResult,

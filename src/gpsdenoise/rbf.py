@@ -7,7 +7,9 @@ center, scores the candidates at the cost of one kernel product per new
 basis direction; its factor R, kept on the trace, solves the output
 layer of any stage on demand. Training stops when the summed
 squared error falls to the configured goal, the neuron budget is reached,
-or every training input has been consumed as a center.
+or every training input has been consumed as a center. The run is nested
+in both rules: its first stages are those of any run with a smaller
+budget or a looser goal, so cut_run reads such a run off a longer one.
 
 Candidate scoring reads the n x n candidate kernel matrix only through a
 kernel operator. Inputs on a uniform 1-D grid (the time axis of a sampled
@@ -20,6 +22,7 @@ takes one (n,) vector or an (r, n) block of rows.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +100,36 @@ class RbfNetwork:
         return self.centers.shape[0]
 
 
+def stop_reason(sse: float, stage: int, n_inputs: int, config: TrainConfig) -> str | None:
+    """Why training on n_inputs inputs stops after `stage` centers at summed
+    squared error `sse`, or None when it goes on.
+
+    The rules in order: 'sse_goal' once sse <= config.sse_goal,
+    'max_neurons' once stage >= config.max_neurons, 'inputs_exhausted'
+    once every input is a center.
+    """
+    if sse <= config.sse_goal:
+        return "sse_goal"
+    if stage >= config.max_neurons:
+        return "max_neurons"
+    if stage >= n_inputs:
+        return "inputs_exhausted"
+    return None
+
+
 @dataclass
 class TrainTrace:
     """Per-stage record of a training run.
 
     sse_history[k] is the summed squared error after k centers (k = 0 is
-    the bias-only model). stop_reason is one of 'sse_goal', 'max_neurons',
-    'inputs_exhausted'. in_span[k - 1] is True when the center added at
+    the bias-only model). stop_reason is what stop_reason() returned at
+    the last stage. in_span[k - 1] is True when the center added at
     stage k lay in the span of the earlier design to 1e-10 of its norm: it
-    added no direction and left the error unchanged.
+    added no direction and left the error unchanged. n_inputs is the
+    number of training inputs. stage_seconds[k] is the trainer's clock at
+    the end of stage k, in seconds since train() was entered (stage 0
+    ends once the bias-only model and the kernel operator are set up); it
+    is the one field that differs between identical runs.
 
     R is the triangular factor of the final design in the training basis:
     one row per basis vector (bias direction first), one column per center
@@ -122,15 +146,20 @@ class TrainTrace:
     R: np.ndarray
     coef: np.ndarray
     target_means: np.ndarray
+    n_inputs: int
+    stage_seconds: np.ndarray
+
+    def _factor(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
+        """(R, coef) of the design after `stage` centers: R's leading block."""
+        if not 0 <= stage <= len(self.in_span):
+            raise ValueError(f"stage must be in 0..{len(self.in_span)}, got {stage}")
+        rows = 1 + stage - sum(self.in_span[:stage])
+        return np.column_stack([self.R[:rows, :stage], self.R[:rows, -1]]), self.coef[:rows]
 
     def stage_weights(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
         """(output_weights, output_bias) after `stage` centers: the minimum-norm
         least-squares solution of that stage's design, solved on R's leading block."""
-        if not 0 <= stage <= len(self.in_span):
-            raise ValueError(f"stage must be in 0..{len(self.in_span)}, got {stage}")
-        rows = 1 + stage - sum(self.in_span[:stage])
-        block = np.column_stack([self.R[:rows, :stage], self.R[:rows, -1]])
-        weights, centered_bias = solve_output_weights(block, self.coef[:rows])
+        weights, centered_bias = solve_output_weights(*self._factor(stage))
         return weights, centered_bias + self.target_means
 
 
@@ -314,6 +343,7 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     and for a spread so small against the input span that (span / spread)^2
     overflows.
     """
+    start = time.perf_counter()
     X = np.asarray(inputs, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] == 0:
@@ -332,12 +362,17 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
         if not np.isfinite(span2 / (config.spread * config.spread)):
             raise ValueError(f"spread {config.spread:g} is too small for inputs spanning "
                              f"{np.sqrt(span2):g}: (span / spread)^2 overflows")
-    return _greedy_train(X, Y, config, kernel_operator(X, config.spread))
+    return _greedy_train(X, Y, config, kernel_operator(X, config.spread), start)
 
 
 def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
-                  op: DenseKernel | ToeplitzKernel) -> tuple[RbfNetwork, TrainTrace]:
-    """train() on validated (n, d) inputs and (n, m) targets through kernel operator op."""
+                  op: DenseKernel | ToeplitzKernel,
+                  start: float | None = None) -> tuple[RbfNetwork, TrainTrace]:
+    """train() on validated (n, d) inputs and (n, m) targets through kernel
+    operator op; the stage clock counts from the perf_counter() value start,
+    by default from this call."""
+    if start is None:
+        start = time.perf_counter()
     n = X.shape[0]
     m = Y.shape[1]
 
@@ -385,8 +420,9 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     sse_history = [sse]
     chosen: list[int] = []
     in_span: list[bool] = []
+    clock = [time.perf_counter() - start]
 
-    while sse > config.sse_goal and len(chosen) < max_centers:
+    while (reason := stop_reason(sse, len(chosen), n, config)) is None:
         B = basis[:n_basis]
         if sse < _RESCORE_FRACTION * scored_sse:
             # c_perp . residual for every candidate c, with c_perp the part
@@ -432,22 +468,18 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             n_basis += 1
             sse = float(np.vdot(residual, residual))
         sse_history.append(sse)
-
-    if sse <= config.sse_goal:
-        stop_reason = "sse_goal"
-    elif len(chosen) >= config.max_neurons:
-        stop_reason = "max_neurons"
-    else:
-        stop_reason = "inputs_exhausted"
+        clock.append(time.perf_counter() - start)
 
     trace = TrainTrace(
         sse_history=np.asarray(sse_history),
         selected_indices=chosen,
-        stop_reason=stop_reason,
+        stop_reason=reason,
         in_span=in_span,
         R=np.column_stack([R[:n_basis, :len(chosen)], R[:n_basis, max_centers]]),
         coef=coef[:n_basis].copy(),
         target_means=target_means,
+        n_inputs=n,
+        stage_seconds=np.asarray(clock),
     )
     weights, bias = trace.stage_weights(len(chosen))
     net = RbfNetwork(
@@ -468,3 +500,41 @@ def stage_network(net: RbfNetwork, trace: TrainTrace, stage: int) -> RbfNetwork:
         output_weights=weights,
         output_bias=bias,
     )
+
+
+def cut_run(net: RbfNetwork, trace: TrainTrace,
+            config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]:
+    """The (network, trace) train() returns for `config`, read off a run of
+    the same inputs and targets at the same spread that went at least as far.
+
+    The cut ends at the first stage where stop_reason() stops `config`;
+    its output layer is solved on R's leading block like stage_network()
+    does. A cut at the run's own last stage keeps the run's network. Every
+    field but stage_seconds equals that of a standalone run, because the
+    greedy run is nested in its budget and goal. Raises ValueError for
+    another spread, or when the run stopped on its own budget or goal
+    before `config` stops.
+    """
+    if config.spread != net.spread:
+        raise ValueError(f"a run at spread {net.spread:g} cannot give spread {config.spread:g}")
+    last = len(trace.in_span)
+    for stage in range(last + 1):
+        reason = stop_reason(float(trace.sse_history[stage]), stage, trace.n_inputs, config)
+        if reason is not None:
+            break
+    else:
+        raise ValueError(f"the run stopped on {trace.stop_reason} after {last} centers, "
+                         f"before {config} stops")
+    R, coef = trace._factor(stage)
+    cut = TrainTrace(
+        sse_history=trace.sse_history[:stage + 1].copy(),
+        selected_indices=trace.selected_indices[:stage],
+        stop_reason=reason,
+        in_span=trace.in_span[:stage],
+        R=R,
+        coef=coef.copy(),
+        target_means=trace.target_means,
+        n_inputs=trace.n_inputs,
+        stage_seconds=trace.stage_seconds[:stage + 1].copy(),
+    )
+    return (net if stage == last else stage_network(net, trace, stage)), cut

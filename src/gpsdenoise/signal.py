@@ -108,7 +108,7 @@ class TrajectoryConfig:
 
     sinusoids holds one sequence of Sinusoid per component in
     (north, east, alt) order. All sinusoid frequencies must stay below
-    the Nyquist frequency 1/(2*dt).
+    the Nyquist frequency 1/(2*dt), and every value must be finite.
     """
 
     n_samples: int
@@ -126,17 +126,25 @@ class TrajectoryConfig:
             raise ValueError("sinusoids must have one sequence per component (3)")
         if len(self.drift) != 3 or len(self.offset) != 3:
             raise ValueError("drift and offset must have 3 entries")
+        for field in ("drift", "offset"):
+            values = tuple(float(v) for v in getattr(self, field))
+            for comp, value in zip(COMPONENTS, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{comp} {field} must be finite, got {value}")
+            object.__setattr__(self, field, values)
         nyq = 0.5 / self.dt
         for comp, sines in zip(COMPONENTS, sinusoids):
-            for s in sines:
+            for k, s in enumerate(sines, start=1):
+                for field in ("amplitude", "frequency", "phase"):
+                    if not math.isfinite(getattr(s, field)):
+                        raise ValueError(f"{comp} sinusoid {k} {field} must be finite, "
+                                         f"got {getattr(s, field)}")
                 if s.frequency >= nyq:
                     raise ValueError(
                         f"{comp} sinusoid frequency {s.frequency} Hz is not below "
                         f"the Nyquist frequency {nyq} Hz"
                     )
         object.__setattr__(self, "sinusoids", sinusoids)
-        object.__setattr__(self, "drift", tuple(float(v) for v in self.drift))
-        object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
 
 
 @dataclass(frozen=True)

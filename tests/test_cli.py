@@ -313,6 +313,12 @@ class TestExitCodes:
         ("generate", {"trajectory": {"n_samples": 64, "dt": float("inf")}}, "dt"),
         # positive and finite, but its Nyquist frequency 0.5 / dt is inf
         ("generate", {"trajectory": {"n_samples": 8, "dt": 1e-310}}, "dt"),
+        pytest.param("generate", {"trajectory": {"n_samples": 8, "dt": 0.5, "sinusoids":
+                                                 [[[1.0, float("nan"), 0.0]], [], []]}},
+                     "north sinusoid 1 frequency", marks=pytest.mark.filterwarnings("error")),
+        pytest.param("generate", {"trajectory": {"n_samples": 8, "dt": 0.5,
+                                                 "drift": [float("inf"), 0.0, 0.0]}},
+                     "north drift", marks=pytest.mark.filterwarnings("error")),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -322,6 +328,20 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("gpsdenoise: error:") and key in err[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_dt_override_that_stretches_past_float_range_exits_two(self, tmp_path, capsys):
+        # 1e300 / 1e-10 overflows to inf, and so would the stretched drift
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"trajectory": {"n_samples": 8, "dt": 1e300, "drift": [1, 0, 0]}}))
+        rc = main(["generate", "--config", str(path), "--dt", "1e-10",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("gpsdenoise: error: dt 1e-10") and "trajectory.dt" in err[0]
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv, word", [
         (["plot-data", "--component", ""], "component"),
@@ -343,6 +363,8 @@ class TestExitCodes:
         (["generate", "--dt", "inf"], "dt"),
         (["generate", "--dt", "1e-310"], "dt"),
         (["generate", "--dt", "5e-324"], "dt"),
+        (["plot-data", "--component", "north,north"], "component 'north' is given more than once"),
+        (["bench", "--filter", "low,low"], "filter 'low' is given more than once"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])
@@ -414,7 +436,7 @@ def test_benchmark_patch_points_are_bound(tmp_path, small_config):
         rec.uninstall()
     assert rc == 0
     metrics = tracer.layer_metrics(rec.take())
-    assert metrics["rbf.train.calls"] == 4
+    assert metrics["rbf.train.calls"] == 3
     assert metrics["rbf.solve_output_weights.calls"] == metrics["rbf.train.calls"]
     assert metrics["rbf.train.stages"] > 0
     assert metrics["rbf.train.weight_absmax"] > 0
@@ -437,3 +459,17 @@ def test_benchmark_reads_what_a_run_returns():
     assert op.problems == []
     assert [r.method for r in op.results] == ["conventional", "conventional", "improved"]
     assert all(r.stages == 4 for r in op.results)
+
+
+def test_benchmark_checks_cells_cut_from_a_longer_run():
+    """Cells read off their column's longer run pass the benchmark's own checks."""
+    workloads = _load_benchmark("workloads")
+    trajectory = dataclasses.replace(DEFAULT_TRAJECTORY, n_samples=512)
+    configs = build_grid([2, 4], [50.0], [0.0], ["low"], trajectory=trajectory)
+    op = workloads.Op(argv=[])
+    op.results = run_table(configs)
+    op.check_results(len(configs))
+    op.release()
+    assert op.problems == []
+    assert [(r.method, r.stages) for r in op.results] == [
+        ("conventional", 2), ("improved", 2), ("conventional", 4), ("improved", 4)]

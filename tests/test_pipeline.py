@@ -17,7 +17,7 @@ from gpsdenoise.pipeline import (
     write_plot_data,
     write_report,
 )
-from gpsdenoise.rbf import TrainConfig, forward, stage_network
+from gpsdenoise.rbf import TrainConfig, forward, stage_network, train
 from gpsdenoise.signal import NoiseConfig, Sinusoid, TrajectoryConfig
 
 # small, fast stand-in for the default benchmark signal: 256 samples over
@@ -170,6 +170,99 @@ class TestRunTable:
         ]
         assert all(c.noise == SMALL_NOISE and c.trajectory == SMALL_TRAJECTORY
                    and c.band_spec == SMALL_SPEC for c in configs)
+
+
+def _assert_same_result(a, b):
+    """Two results agree bit for bit in every field but their timings."""
+    assert a.config == b.config
+    for name in ("sse_history", "R", "coef", "target_means"):
+        x, y = getattr(a.trace, name), getattr(b.trace, name)
+        assert x.shape == y.shape and np.array_equal(x, y), name
+    for name in ("selected_indices", "in_span", "stop_reason", "n_inputs"):
+        assert getattr(a.trace, name) == getattr(b.trace, name), name
+    assert a.network.spread == b.network.spread
+    for name in ("centers", "output_weights", "output_bias"):
+        assert np.array_equal(getattr(a.network, name), getattr(b.network, name)), name
+    assert np.array_equal(a.outputs, b.outputs)
+    assert a.output_mse == b.output_mse
+    assert np.array_equal(a.reference.samples, b.reference.samples)
+    assert np.array_equal(a.reference.timestamps, b.reference.timestamps)
+
+
+class TestColumnSharing:
+    """run_table trains each column once and cuts its other cells from that run."""
+
+    @pytest.mark.parametrize("n_samples", [512, 16])
+    def test_every_cell_equals_its_standalone_run(self, n_samples):
+        # 16 samples against budgets up to 40 reach inputs_exhausted
+        trajectory = replace(SMALL_TRAJECTORY, n_samples=n_samples)
+        configs = build_grid([5, 12, 40], [10.0], [1e-6, 1e-2, 0.0, 1e9], ["none", "low", "mid"],
+                             SMALL_SPEC, SMALL_NOISE, trajectory)
+        results = run_table(configs)
+        for config, result in zip(configs, results):
+            _assert_same_result(result, run_method(config))
+        reasons = {r.trace.stop_reason for r in results}
+        assert {"sse_goal", "max_neurons"} <= reasons
+        assert ("inputs_exhausted" in reasons) == (n_samples == 16)
+
+    def test_one_training_per_column_and_one_run_per_config(self, monkeypatch):
+        from gpsdenoise import pipeline
+
+        trained, ran = [], []
+
+        def counting_train(inputs, targets, config):
+            trained.append(config)
+            return train(inputs, targets, config)
+
+        def counting_run(config, **kwargs):
+            ran.append(config)
+            return run_method(config, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", counting_train)
+        monkeypatch.setattr(pipeline, "run_method", counting_run)
+        configs = build_grid([4, 8], [5.0, 10.0], [1e-6], ["low", "mid"],
+                             SMALL_SPEC, SMALL_NOISE, SMALL_TRAJECTORY)
+        results = run_table(configs)
+        # columns: two spreads times the bands none, low and mid
+        assert len(configs) == 16 and len(trained) == 6
+        assert all(c.max_neurons == 8 for c in trained)
+        # equal configs are distinct cells: count each object once
+        assert sorted(map(id, ran)) == sorted(map(id, configs))
+        assert all(r.config is c for r, c in zip(results, configs))
+
+    def test_a_column_without_a_dominating_cell_trains_twice(self, monkeypatch):
+        from gpsdenoise import pipeline
+
+        trained = []
+
+        def counting_train(inputs, targets, config):
+            trained.append((config.max_neurons, config.sse_goal))
+            return train(inputs, targets, config)
+
+        monkeypatch.setattr(pipeline, "train", counting_train)
+        conv = _pair()[0]
+        configs = [replace(conv, train=TrainConfig(goal, budget, 10.0))
+                   for budget, goal in ((12, 0.0), (40, 1e-2), (12, 0.0), (6, 0.1))]
+        results = run_table(configs)
+        assert trained == [(40, 1e-2), (12, 0.0)]
+        for config, result in zip(configs, results):
+            _assert_same_result(result, run_method(config))
+
+    def test_cut_cells_time_their_own_stages(self):
+        conv = _pair()[0]
+        whole, short = run_table([replace(conv, train=TrainConfig(0.0, b, 10.0))
+                                  for b in (24, 6)])
+        assert len(short.stage_seconds) == 7
+        assert np.array_equal(short.stage_seconds, whole.stage_seconds[:7])
+        # the clock at the end of stage 6 plus the cut's own output solve
+        assert short.stage_seconds[-1] < short.elapsed_train_seconds
+        twin = run_method(conv, source=whole)
+        assert twin.elapsed_train_seconds == whole.elapsed_train_seconds
+
+    def test_run_method_rejects_a_source_of_another_column(self):
+        conv, impr = _pair()
+        with pytest.raises(ValueError, match="same signal"):
+            run_method(impr, source=run_method(conv))
 
 
 class TestPlotData:

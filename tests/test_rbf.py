@@ -1,6 +1,7 @@
 """Tests for the Gaussian RBF network and its greedy incremental training."""
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,12 @@ from gpsdenoise.rbf import (
     TrainConfig,
     _activations,
     _greedy_train,
+    cut_run,
     forward,
     kernel_operator,
     solve_output_weights,
     stage_network,
+    stop_reason,
     train,
 )
 
@@ -691,3 +694,80 @@ class TestKernelOperator:
         assert peak < 100e6
         assert net.n_centers == 20
         assert np.all(np.diff(trace.sse_history) <= 0)
+
+
+def assert_same_run(a, b):
+    """Two (network, trace) pairs agree bit for bit in all but the stage clock."""
+    (net_a, trace_a), (net_b, trace_b) = a, b
+    assert net_a.spread == net_b.spread
+    for name in ("centers", "output_weights", "output_bias"):
+        assert np.array_equal(getattr(net_a, name), getattr(net_b, name)), name
+    for name in ("sse_history", "R", "coef", "target_means"):
+        x, y = getattr(trace_a, name), getattr(trace_b, name)
+        assert x.shape == y.shape and np.array_equal(x, y), name
+    for name in ("selected_indices", "stop_reason", "in_span", "n_inputs"):
+        assert getattr(trace_a, name) == getattr(trace_b, name), name
+
+
+class TestCutRun:
+    """A run read off a longer one equals the run trained on its own."""
+
+    def test_stop_rules_in_order(self):
+        cfg = TrainConfig(sse_goal=1.0, max_neurons=4, spread=1.0)
+        assert stop_reason(2.0, 3, 10, cfg) is None
+        assert stop_reason(1.0, 4, 4, cfg) == "sse_goal"
+        assert stop_reason(2.0, 4, 4, cfg) == "max_neurons"
+        assert stop_reason(2.0, 3, 3, cfg) == "inputs_exhausted"
+
+    @pytest.mark.parametrize("inputs", ["grid", "scattered"])
+    def test_every_budget_and_goal_equals_its_own_training(self, inputs):
+        t = _grid(40, dt=1.0)
+        Y = _smooth_targets(t[:, 0], 7)
+        X = t if inputs == "grid" else np.random.default_rng(8).uniform(0, 40, (40, 1))
+        long_net, long_trace = run = train(X, Y, TrainConfig(0.0, 24, 4.0))
+        history = long_trace.sse_history
+        goals = [0.0, float(history[5]), float(history[17]) * 1.5, 1e9]
+        for max_neurons in (1, 5, 12, 24):
+            for sse_goal in goals:
+                cfg = TrainConfig(sse_goal, max_neurons, 4.0)
+                net, trace = cut = cut_run(*run, cfg)
+                assert_same_run(cut, train(X, Y, cfg))
+                stages = len(trace.sse_history)
+                assert np.array_equal(trace.stage_seconds, long_trace.stage_seconds[:stages])
+                # only a cut short of the run's end solves a network of its own
+                assert (net is long_net) == (stages == len(history))
+
+    def test_cut_at_the_runs_end_takes_its_own_stop_reason(self):
+        X = _grid(8)
+        Y = _smooth_targets(X[:, 0], 3)
+        run = train(X, Y, TrainConfig(0.0, 20, 0.05))
+        assert run[1].stop_reason == "inputs_exhausted"
+        for cfg in (TrainConfig(0.0, 8, 0.05), TrainConfig(0.0, 30, 0.05),
+                    TrainConfig(float(run[1].sse_history[-1]), 20, 0.05)):
+            cut = cut_run(*run, cfg)
+            assert_same_run(cut, train(X, Y, cfg))
+        assert [cut_run(*run, TrainConfig(0.0, b, 0.05))[1].stop_reason
+                for b in (8, 30)] == ["max_neurons", "inputs_exhausted"]
+
+    def test_rejects_a_stop_the_run_never_reached(self):
+        X = _grid(30)
+        Y = _smooth_targets(X[:, 0], 4)
+        budget_run = train(X, Y, TrainConfig(0.0, 6, 0.5))
+        with pytest.raises(ValueError, match="max_neurons after 6 centers"):
+            cut_run(*budget_run, TrainConfig(0.0, 7, 0.5))
+        goal = float(budget_run[1].sse_history[3])
+        goal_run = train(X, Y, TrainConfig(goal, 6, 0.5))
+        assert goal_run[1].stop_reason == "sse_goal"
+        with pytest.raises(ValueError, match="sse_goal after 3 centers"):
+            cut_run(*goal_run, TrainConfig(goal / 2, 6, 0.5))
+        with pytest.raises(ValueError, match="spread"):
+            cut_run(*budget_run, TrainConfig(0.0, 3, 0.6))
+
+    def test_stage_clock_counts_from_the_call(self):
+        X = _grid(64)
+        t0 = time.perf_counter()
+        net, trace = train(X, _smooth_targets(X[:, 0], 5), TrainConfig(0.0, 10, 0.5))
+        elapsed = time.perf_counter() - t0
+        clock = trace.stage_seconds
+        assert clock.shape == (len(trace.sse_history),)
+        assert 0.0 <= clock[0] and np.all(np.diff(clock) >= 0) and clock[-1] <= elapsed

@@ -235,15 +235,21 @@ def _csv_list(text: str, cast) -> list:
         raise argparse.ArgumentTypeError(f"malformed list: '{text}'") from None
 
 
+def _check_distinct(kind: str, values: list) -> None:
+    """Reject a value given twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{kind} {value!r} is given more than once")
+
+
 def _check_names(kind: str, names: list, allowed: tuple) -> None:
     """Reject an empty list, a name outside `allowed` and a name given twice."""
     if not names:
         raise ValueError(f"no {kind} given (use {', '.join(allowed)})")
-    for i, name in enumerate(names):
+    for name in names:
         if name not in allowed:
             raise ValueError(f"unknown {kind} '{name}' (use {', '.join(allowed)})")
-        if name in names[:i]:
-            raise ValueError(f"{kind} '{name}' is given more than once")
+    _check_distinct(kind, names)
 
 
 def cmd_generate(args) -> int:
@@ -277,6 +283,8 @@ def cmd_bench(args) -> int:
         "repeats": _setting(args.repeats, cfg, "bench.repeats", _integer, 5),
     }
     _check_names("filter", bench["filter"], FILTERS)
+    for key in ("nnsize", "spread", "sse"):
+        _check_distinct(key, bench[key])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,8 +6,9 @@ other band is the improved method: it first selects that frequency band
 of the noisy series and trains on that. Runs are timed around the
 training call only, paired runs share the identical trajectory and noise
 realization, and all non-timing outputs are deterministic for a fixed
-seed. A grid trains each of its columns (configs that differ only in
-neuron budget and SSE goal) once and cuts the other cells from that run.
+seed. A grid builds each of its signals and each band of one once, trains
+each of its columns (configs that differ only in neuron budget and SSE
+goal) once and cuts the other cells from that run.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,10 +101,13 @@ class BenchmarkResult:
     training call alone (see run_method for a cell cut from a longer run);
     stage_seconds[k] is the median over the same repeats of the trainer's
     clock at the end of stage k. filter_seconds reports the band-selection
-    cost separately (zero for the conventional method). outputs is the
-    network output on the training inputs; output_mse compares it against
-    the clean reference (band-filtered clean reference for the improved
-    method).
+    cost separately: the one timed selection of the noisy series' band,
+    which every cell of that band shares in a grid (zero for the
+    conventional method). outputs is the network output on the training
+    inputs, read-only, and shared with the run a cell was cut from when the
+    cut keeps that run's network; output_mse compares it against the clean
+    reference (band-filtered clean reference for the improved method).
+    reference, too, is shared by the cells of one band in a grid.
     """
 
     config: MethodConfig
@@ -128,6 +132,33 @@ class PlotData:
     learned: np.ndarray
 
 
+class PreparedSignal(NamedTuple):
+    """What a run trains on and is scored against, built from its config."""
+
+    target: PositionSeries  # noisy series, or its band for the improved method
+    reference: PositionSeries  # clean series, or the same band of it
+    filter_seconds: float  # the timed band selection of the noisy series; 0 for "none"
+
+
+def _signal(config: MethodConfig) -> tuple[PositionSeries, PositionSeries]:
+    """The clean trajectory of a config and its noisy realization."""
+    clean = generate_trajectory(config.trajectory)
+    return clean, add_noise(clean, config.noise)
+
+
+def _prepare(config: MethodConfig, clean: PositionSeries,
+             noisy: PositionSeries) -> PreparedSignal:
+    """The target, reference and filter time of the config's band of (clean,
+    noisy): one select_band call per series, the noisy one timed."""
+    if config.band == "none":
+        return PreparedSignal(noisy, clean, 0.0)
+    t0 = time.perf_counter()
+    target = select_band(noisy, config.band, config.band_spec).series
+    filter_seconds = time.perf_counter() - t0
+    reference = select_band(clean, config.band, config.band_spec).series
+    return PreparedSignal(target, reference, filter_seconds)
+
+
 def _column(config: MethodConfig) -> tuple:
     """What a config shares with every cell its run can be cut for: all but
     the neuron budget and the SSE goal."""
@@ -136,8 +167,14 @@ def _column(config: MethodConfig) -> tuple:
 
 
 def run_method(config: MethodConfig, repeats: int = 1,
-               source: BenchmarkResult | None = None) -> BenchmarkResult:
+               source: BenchmarkResult | None = None, *,
+               prepared: PreparedSignal | None = None) -> BenchmarkResult:
     """Run one method end to end and measure its training wall time.
+
+    The run builds its own signal (trajectory plus noise draw) and band of
+    it, unless `prepared` hands it the target, reference and filter time
+    that the config's signal and band give; run_table builds those once
+    per signal and band.
 
     With repeats > 1 an extra warm-up training run is discarded and
     elapsed_train_seconds is the median of the timed repeats; every repeat
@@ -145,8 +182,8 @@ def run_method(config: MethodConfig, repeats: int = 1,
 
     Given the result `source` of a run in the same column that went at
     least as far, the network and trace are cut from it (rbf.cut_run)
-    instead of trained, and repeats is unused; signal, band and reference
-    are still built. A cut at the source's own last stage keeps its
+    instead of trained, and repeats is unused. A cut at the source's own
+    last stage keeps its network, and with it its outputs, output_mse and
     elapsed_train_seconds; a shorter cut reports the source's
     stage_seconds at its last stage plus the measured time of the cut,
     which solves its output layer.
@@ -155,18 +192,9 @@ def run_method(config: MethodConfig, repeats: int = 1,
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if source is not None and _column(source.config) != _column(config):
         raise ValueError("a run can only be cut from a run of the same signal, band and spread")
-    clean = generate_trajectory(config.trajectory)
-    noisy = add_noise(clean, config.noise)
-
-    if config.band != "none":
-        t0 = time.perf_counter()
-        target = select_band(noisy, config.band, config.band_spec).series
-        filter_seconds = time.perf_counter() - t0
-        reference = select_band(clean, config.band, config.band_spec).series
-    else:
-        target = noisy
-        reference = clean
-        filter_seconds = 0.0
+    if prepared is None:
+        prepared = _prepare(config, *_signal(config))
+    target, reference, filter_seconds = prepared
 
     # regression encoding: time in seconds (n, 1) -> position (n, 3)
     inputs, targets = target.timestamps[:, None], target.samples
@@ -195,8 +223,12 @@ def run_method(config: MethodConfig, repeats: int = 1,
         else:
             elapsed = float(stage_seconds[-1]) + cut_seconds
 
-    outputs = forward(net, inputs)
-    output_mse = float(np.mean((outputs - reference.samples) ** 2))
+    if source is not None and net is source.network:
+        outputs, output_mse = source.outputs, source.output_mse
+    else:
+        outputs = forward(net, inputs)
+        outputs.flags.writeable = False
+        output_mse = float(np.mean((outputs - reference.samples) ** 2))
     return BenchmarkResult(
         config=config,
         elapsed_train_seconds=elapsed,
@@ -241,6 +273,11 @@ def build_grid(
 def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[BenchmarkResult]:
     """Run every config serially, emitting results in the order given.
 
+    Each distinct signal (trajectory and noise draw) is built once, and
+    each band of it (band and band spec) once, through one select_band
+    call per series; every cell of that band gets the same target,
+    reference and filter time. These live for this call only.
+
     The configs fall into columns: cells that share noise, trajectory,
     band, band spec and spread, and differ only in neuron budget and SSE
     goal. Greedy training is nested in both, so a cell is cut from a
@@ -259,15 +296,24 @@ def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[Benchma
         raise ValueError("benchmark grid is empty")
     order = sorted(range(len(configs)),
                    key=lambda i: (-configs[i].train.max_neurons, configs[i].train.sse_goal))
+    signals: dict[tuple, tuple[PositionSeries, PositionSeries]] = {}  # (clean, noisy)
+    bands: dict[tuple, PreparedSignal] = {}  # one per signal, band and band spec
     trained: dict[tuple, BenchmarkResult] = {}  # the last trained run of each column
     results: list[BenchmarkResult | None] = [None] * len(configs)
     for i in order:
         config = configs[i]
+        signal_key = (config.trajectory, config.noise)
+        if signal_key not in signals:
+            signals[signal_key] = _signal(config)
+        band_key = signal_key + (config.band, config.band_spec)
+        if band_key not in bands:
+            bands[band_key] = _prepare(config, *signals[signal_key])
         # the visiting order gives every trained run a budget at least this cell's
         source = trained.get(_column(config))
         if source is not None and source.config.train.sse_goal > config.train.sse_goal:
             source = None
-        results[i] = run_method(config, repeats=repeats, source=source)
+        results[i] = run_method(config, repeats=repeats, source=source,
+                                prepared=bands[band_key])
         if source is None:
             trained[_column(config)] = results[i]
     return results

@@ -22,6 +22,7 @@ takes one (n,) vector or an (r, n) block of rows.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -324,7 +325,8 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     direction q out of the residual, so the error drop of every stage is
     the score that chose it; one product of the candidate kernel matrix
     with q then updates both the projections and the residual products. A
-    center in the span of the earlier design costs no product. The residual
+    center in the span of the earlier design costs no product, and the
+    stage after it reuses the scores it left unchanged. The residual
     and its products are held as one row of length n per output column; the
     products (an (m, n) block for m output columns) are computed afresh for
     the first stage and again only once the error has fallen 1e4-fold since
@@ -421,18 +423,29 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     chosen: list[int] = []
     in_span: list[bool] = []
     clock = [time.perf_counter() - start]
+    # Scratch rows for a new direction's updates: the (m, n) outer products
+    # that leave the residual and cross, and the (n,) squares of K q.
+    outer = np.empty((m, n))
+    kq2 = np.empty(n)
+    spans = False
 
     while (reason := stop_reason(sse, len(chosen), n, config)) is None:
         B = basis[:n_basis]
-        if sse < _RESCORE_FRACTION * scored_sse:
-            # c_perp . residual for every candidate c, with c_perp the part
-            # of c orthogonal to the current design span.
-            cross = op.matmul(residual) - (residual @ B.T) @ basis_proj[:n_basis]
-            scored_sse = sse
-        # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2.
-        np.einsum("ij,ij->j", cross, cross, out=scores)
-        scores /= cand_norm2
-        scores[chosen] = -np.inf
+        if spans:
+            # The last center opened no direction: residual, cross, cand_norm2
+            # and the SSE are as they were, so no fresh pass is due and every
+            # score stands but the new pick's.
+            scores[chosen[-1]] = -np.inf
+        else:
+            if sse < _RESCORE_FRACTION * scored_sse:
+                # c_perp . residual for every candidate c, with c_perp the part
+                # of c orthogonal to the current design span.
+                cross = op.matmul(residual) - (residual @ B.T) @ basis_proj[:n_basis]
+                scored_sse = sse
+            # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2.
+            np.einsum("ij,ij->j", cross, cross, out=scores)
+            scores /= cand_norm2
+            scores[chosen] = -np.inf
         idx = int(np.argmax(scores))
         k = len(chosen)
         chosen.append(idx)
@@ -448,23 +461,23 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         v -= B.T @ s
         r += s
         R[:n_basis, k] = r
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v @ v)  # |v|, as np.linalg.norm computes it for a real vector
         # A column already in the span opens no basis row and leaves the
         # residual, and with it every score, unchanged; the minimum-norm
         # solve sets its weight.
-        spans = norm <= 1e-10 * float(np.linalg.norm(column))
+        spans = norm <= 1e-10 * math.sqrt(column @ column)
         in_span.append(spans)
         if not spans:
-            q = v / norm
-            basis[n_basis] = q
+            q = np.divide(v, norm, out=basis[n_basis])
             R[n_basis, k] = norm
-            coef[n_basis] = residual @ q  # == Yc.T @ q: q is orthogonal to what was removed
-            residual -= np.multiply.outer(coef[n_basis], q)
+            # coef row == Yc.T @ q: q is orthogonal to what was removed
+            np.matmul(residual, q, out=coef[n_basis])
+            residual -= np.multiply.outer(coef[n_basis], q, out=outer)
             kq = op.matmul(q)
             basis_proj[n_basis] = kq
-            cand_norm2 -= kq * kq
+            cand_norm2 -= np.multiply(kq, kq, out=kq2)
             np.maximum(cand_norm2, 1e-300, out=cand_norm2)
-            cross -= np.multiply.outer(coef[n_basis], kq)
+            cross -= np.multiply.outer(coef[n_basis], kq, out=outer)
             n_basis += 1
             sse = float(np.vdot(residual, residual))
         sse_history.append(sse)

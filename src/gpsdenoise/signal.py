@@ -108,7 +108,9 @@ class TrajectoryConfig:
 
     sinusoids holds one sequence of Sinusoid per component in
     (north, east, alt) order. All sinusoid frequencies must stay below
-    the Nyquist frequency 1/(2*dt), and every value must be finite.
+    the Nyquist frequency 1/(2*dt), and every value must be finite. So
+    must the time span (n_samples - 1) * dt and, per component, the bound
+    |offset| + |drift| * span + sum(|amplitude|) on its values.
     """
 
     n_samples: int
@@ -145,6 +147,25 @@ class TrajectoryConfig:
                         f"the Nyquist frequency {nyq} Hz"
                     )
         object.__setattr__(self, "sinusoids", sinusoids)
+        # generate_trajectory's values are bounded by these sums, and float
+        # rounding is monotone, so finite bounds leave no overflow to numpy
+        try:
+            span = (self.n_samples - 1) * self.dt
+        except OverflowError:  # n_samples too large to convert to a float
+            span = math.inf
+        if not math.isfinite(span):
+            raise ValueError(f"time span (n_samples - 1) * dt = ({self.n_samples} - 1) * "
+                             f"{self.dt:g} must be finite: lower dt or n_samples")
+        for comp, offset, drift, sines in zip(COMPONENTS, self.offset, self.drift, sinusoids):
+            bound = abs(offset)
+            terms = [("drift", abs(drift) * span)] + [
+                (f"sinusoid {k} amplitude", abs(s.amplitude)) for k, s in enumerate(sines, start=1)]
+            for field, term in terms:
+                bound += term
+                if not math.isfinite(bound):
+                    raise ValueError(f"{comp} {field} takes the {comp} values past the float "
+                                     f"range: |offset| + |drift| * span + sum(|amplitude|) "
+                                     f"must be finite")
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,17 @@ class TestExitCodes:
         pytest.param("generate", {"trajectory": {"n_samples": 8, "dt": 0.5,
                                                  "drift": [float("inf"), 0.0, 0.0]}},
                      "north drift", marks=pytest.mark.filterwarnings("error")),
+        ("bench", {"bench": {"nnsize": [4, 4]}}, "nnsize 4 is given more than once"),
+        ("bench", {"bench": {"spread": [5, 5.0]}}, "spread 5.0 is given more than once"),
+        ("bench", {"bench": {"sse": [0, 1e-6, 0]}}, "sse 0.0 is given more than once"),
+        # finite values whose sum over the time axis overflows
+        ("generate", {"trajectory": {"n_samples": 8, "dt": 0.5, "drift": [1e308, 0, 0]}},
+         "north drift takes the north values past the float range"),
+        ("generate", {"trajectory": {"n_samples": 8, "dt": 0.5, "offset": [1.7e308, 0, 0],
+                                     "sinusoids": [[[1e308, 0.1, 0.0]], [], []]}},
+         "north sinusoid 1 amplitude takes the north values past the float range"),
+        # too large for a float, so (n_samples - 1) * dt cannot be formed
+        ("generate", {"trajectory": {"n_samples": 10 ** 400, "dt": 0.5}}, "n_samples"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -365,6 +376,12 @@ class TestExitCodes:
         (["generate", "--dt", "5e-324"], "dt"),
         (["plot-data", "--component", "north,north"], "component 'north' is given more than once"),
         (["bench", "--filter", "low,low"], "filter 'low' is given more than once"),
+        (["bench", "--nnsize", "4,4", "--spread", "5,5", "--sse", "0"],
+         "nnsize 4 is given more than once"),
+        (["bench", "--spread", "5,5"], "spread 5.0 is given more than once"),
+        (["bench", "--sse", "0,1e-6,0"], "sse 0.0 is given more than once"),
+        # (8 - 1) * 1e308 overflows the time axis
+        (["generate", "--samples", "8", "--dt", "1e308"], "(n_samples - 1) * dt"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])
@@ -459,6 +476,30 @@ def test_benchmark_reads_what_a_run_returns():
     assert op.problems == []
     assert [r.method for r in op.results] == ["conventional", "conventional", "improved"]
     assert all(r.stages == 4 for r in op.results)
+
+
+def test_benchmark_sees_every_band_decomposition(tmp_path, small_config):
+    """A bench run reaches bandfilter.decompose, which the benchmark's band-sum check hooks.
+
+    The grid builds each band once per series, so two budgets over the low
+    and mid bands make 4 decompositions (noisy and clean per band) for 8
+    results, and every one of them passes the benchmark's checks.
+    """
+    tracer = _load_benchmark("tracer")
+    workloads = _load_benchmark("workloads")
+    rec = tracer.Recorder()
+    runner = workloads.CliRunner(rec)
+    rec.install(runner.hooks())
+    try:
+        op = runner.run_cli(["bench", "--config", str(small_config), "--nnsize", "4,6",
+                             "--spread", "10", "--filter", "low,mid", "--repeats", "1",
+                             "--out-dir", str(tmp_path)])
+    finally:
+        rec.uninstall()
+    assert op.code == 0
+    assert len(op.decompositions) == 4
+    op.check_results(8)
+    assert op.problems == []
 
 
 def test_benchmark_checks_cells_cut_from_a_longer_run():

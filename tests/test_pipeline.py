@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpsdenoise.bandfilter import BandSpec
+from gpsdenoise.bandfilter import BandSpec, select_band
 from gpsdenoise.pipeline import (
     FILTERS,
     PLOT_HEADER,
@@ -18,7 +18,13 @@ from gpsdenoise.pipeline import (
     write_report,
 )
 from gpsdenoise.rbf import TrainConfig, forward, stage_network, train
-from gpsdenoise.signal import NoiseConfig, Sinusoid, TrajectoryConfig
+from gpsdenoise.signal import (
+    NoiseConfig,
+    Sinusoid,
+    TrajectoryConfig,
+    add_noise,
+    generate_trajectory,
+)
 
 # small, fast stand-in for the default benchmark signal: 256 samples over
 # 128 s, one on-bin sinusoid per band per component
@@ -263,6 +269,78 @@ class TestColumnSharing:
         conv, impr = _pair()
         with pytest.raises(ValueError, match="same signal"):
             run_method(impr, source=run_method(conv))
+
+
+class TestSignalStore:
+    """run_table builds each signal once and each band of it once."""
+
+    def _grid(self):
+        return build_grid([4, 8], [10.0], [0.0], ["none", "low", "mid"],
+                          SMALL_SPEC, SMALL_NOISE, SMALL_TRAJECTORY)
+
+    def test_one_signal_and_one_selection_per_series_and_band(self, monkeypatch):
+        from gpsdenoise import pipeline
+
+        built, selected = [], []
+
+        def counting_trajectory(config):
+            built.append("trajectory")
+            return generate_trajectory(config)
+
+        def counting_noise(series, noise):
+            built.append("noise")
+            return add_noise(series, noise)
+
+        def counting_select(series, band, spec):
+            selected.append(band)
+            return select_band(series, band, spec)
+
+        monkeypatch.setattr(pipeline, "generate_trajectory", counting_trajectory)
+        monkeypatch.setattr(pipeline, "add_noise", counting_noise)
+        monkeypatch.setattr(pipeline, "select_band", counting_select)
+        assert len(run_table(self._grid())) == 10
+        assert built == ["trajectory", "noise"]
+        # the noisy and the clean series of each band
+        assert sorted(selected) == ["low", "low", "mid", "mid"]
+
+    def test_a_cut_at_the_runs_last_stage_reuses_its_outputs(self, monkeypatch):
+        from gpsdenoise import pipeline
+
+        evaluated = []
+
+        def counting(net, inputs):
+            evaluated.append(net.n_centers)
+            return forward(net, inputs)
+
+        monkeypatch.setattr(pipeline, "forward", counting)
+        configs = self._grid()
+        results = run_table(configs)
+        # the conventional cells of the three bands are one config per budget;
+        # at budget 8 the first trains and the others end at its last stage,
+        # while every budget-4 cell is cut shorter and solves its own stage
+        assert sorted(evaluated) == [4] * 5 + [8] * 3
+        same = [r for r in results if r.config.band == "none" and r.config.train.max_neurons == 8]
+        assert len(same) == 3
+        assert all(r.network is same[0].network and r.outputs is same[0].outputs for r in same)
+        assert all(not r.outputs.flags.writeable for r in results)
+
+    def test_signals_are_kept_apart_by_noise_and_trajectory(self):
+        configs = [config
+                   for seed in (11, 12) for n_samples in (256, 128)
+                   for config in build_grid([4, 8], [10.0], [0.0, 1e-2], ["none", "low"],
+                                            SMALL_SPEC, replace(SMALL_NOISE, seed=seed),
+                                            replace(SMALL_TRAJECTORY, n_samples=n_samples))]
+        results = run_table(configs)
+        for config, result in zip(configs, results):
+            _assert_same_result(result, run_method(config))
+        # the improved cells of one signal report its band's one timed selection
+        filter_seconds = {}
+        for r in results:
+            if r.config.band == "low":
+                filter_seconds.setdefault((r.config.noise, r.config.trajectory),
+                                          set()).add(r.filter_seconds)
+        assert len(filter_seconds) == 4
+        assert all(len(times) == 1 for times in filter_seconds.values())
 
 
 class TestPlotData:

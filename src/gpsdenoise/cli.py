@@ -144,6 +144,8 @@ def _load_config(path: str | None) -> dict:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not ASCII, or not JSON
+        raise ValueError(f"config file {path} is not ASCII JSON: {exc}") from None
     # A manifest written by a previous run doubles as a config file.
     if isinstance(doc, dict):
         doc = doc.get("config", doc)

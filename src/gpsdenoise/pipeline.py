@@ -99,15 +99,15 @@ class BenchmarkResult:
 
     elapsed_train_seconds is the median over the timed repeats of the
     training call alone (see run_method for a cell cut from a longer run);
-    stage_seconds[k] is the median over the same repeats of the trainer's
-    clock at the end of stage k. filter_seconds reports the band-selection
-    cost separately: the one timed selection of the noisy series' band,
-    which every cell of that band shares in a grid (zero for the
-    conventional method). outputs is the network output on the training
-    inputs, read-only, and shared with the run a cell was cut from when the
-    cut keeps that run's network; output_mse compares it against the clean
-    reference (band-filtered clean reference for the improved method).
-    reference, too, is shared by the cells of one band in a grid.
+    the trace's stage_seconds is the trainer clock's median over them.
+    filter_seconds reports the band-selection cost separately: the one
+    timed selection of the noisy series' band, which every cell of that
+    band shares in a grid (zero for the conventional method). outputs is
+    the network output on the training inputs, read-only, and shared with
+    the result a cell was cut from when the cut keeps its network;
+    output_mse compares it against the clean reference (band-filtered
+    clean reference for the improved method). reference, too, is shared
+    by the cells of one band in a grid.
     """
 
     config: MethodConfig
@@ -118,7 +118,6 @@ class BenchmarkResult:
     network: RbfNetwork
     outputs: np.ndarray
     reference: PositionSeries
-    stage_seconds: np.ndarray
 
 
 @dataclass
@@ -176,17 +175,17 @@ def run_method(config: MethodConfig, repeats: int = 1,
     that the config's signal and band give; run_table builds those once
     per signal and band.
 
-    With repeats > 1 an extra warm-up training run is discarded and
-    elapsed_train_seconds is the median of the timed repeats; every repeat
-    is the identical deterministic computation.
+    With repeats > 1 an extra warm-up training run is discarded, and
+    elapsed_train_seconds and the trace's stage_seconds are medians over
+    the timed repeats, each the identical deterministic computation.
 
     Given the result `source` of a run in the same column that went at
-    least as far, the network and trace are cut from it (rbf.cut_run)
-    instead of trained, and repeats is unused. A cut at the source's own
-    last stage keeps its network, and with it its outputs, output_mse and
-    elapsed_train_seconds; a shorter cut reports the source's
-    stage_seconds at its last stage plus the measured time of the cut,
-    which solves its output layer.
+    least as far, trained or itself cut, the network and trace are cut
+    from it (rbf.cut_run) instead of trained, and repeats is unused. A
+    cut at the source's own last stage keeps its network, and with it its
+    outputs, output_mse and elapsed_train_seconds; a shorter cut reports
+    its trace's clock at its last stage plus the measured time of the
+    cut, which solves its output layer.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -202,29 +201,22 @@ def run_method(config: MethodConfig, repeats: int = 1,
     if source is None:
         if repeats > 1:
             train(inputs, targets, config.train)  # warm-up, discarded
-        times = []
-        clocks = []
-        net = trace = None
+        times, clocks = [], []
         for _ in range(repeats):
             t0 = time.perf_counter()
             net, trace = train(inputs, targets, config.train)
             times.append(time.perf_counter() - t0)
             clocks.append(trace.stage_seconds)
         elapsed = statistics.median(times)
-        stage_seconds = np.median(clocks, axis=0)
+        trace.stage_seconds = np.median(clocks, axis=0)
     else:
         t0 = time.perf_counter()
         net, trace = cut_run(source.network, source.trace, config.train)
-        cut_seconds = time.perf_counter() - t0
-        stages = len(trace.sse_history)
-        stage_seconds = source.stage_seconds[:stages]
-        if stages == len(source.trace.sse_history):
-            elapsed = source.elapsed_train_seconds
-        else:
-            elapsed = float(stage_seconds[-1]) + cut_seconds
+        elapsed = float(trace.stage_seconds[-1]) + (time.perf_counter() - t0)
 
     if source is not None and net is source.network:
-        outputs, output_mse = source.outputs, source.output_mse
+        elapsed, outputs, output_mse = (source.elapsed_train_seconds, source.outputs,
+                                        source.output_mse)
     else:
         outputs = forward(net, inputs)
         outputs.flags.writeable = False
@@ -238,7 +230,6 @@ def run_method(config: MethodConfig, repeats: int = 1,
         network=net,
         outputs=outputs,
         reference=reference,
-        stage_seconds=stage_seconds,
     )
 
 
@@ -280,12 +271,13 @@ def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[Benchma
 
     The configs fall into columns: cells that share noise, trajectory,
     band, band spec and spread, and differ only in neuron budget and SSE
-    goal. Greedy training is nested in both, so a cell is cut from a
-    trained run of its column whose budget is at least its own and whose
-    goal is at most its own (identical configs share one run), and trains
-    only when no such run exists. Cells are visited by budget, largest
-    first, then by goal, smallest first, so each column trains once when
-    one of its cells has both the largest budget and the smallest goal.
+    goal. Greedy training is nested in both. Cells are visited by budget,
+    largest first, then by goal, smallest first, so every earlier result
+    of a column has at least a cell's budget; the cell is cut from the
+    nearest of them, trained or cut, whose goal is at most its own, and
+    trains only when there is none. An equal cell shares its twin's
+    network, outputs and time, and a column trains once when one of its
+    cells has both the largest budget and the smallest goal.
     Every config still gets one run_method call, and every result equals
     a standalone run_method of its config in all but its timings.
 
@@ -298,7 +290,7 @@ def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[Benchma
                    key=lambda i: (-configs[i].train.max_neurons, configs[i].train.sse_goal))
     signals: dict[tuple, tuple[PositionSeries, PositionSeries]] = {}  # (clean, noisy)
     bands: dict[tuple, PreparedSignal] = {}  # one per signal, band and band spec
-    trained: dict[tuple, BenchmarkResult] = {}  # the last trained run of each column
+    columns: dict[tuple, list[BenchmarkResult]] = {}  # each column's results, in visiting order
     results: list[BenchmarkResult | None] = [None] * len(configs)
     for i in order:
         config = configs[i]
@@ -308,14 +300,12 @@ def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[Benchma
         band_key = signal_key + (config.band, config.band_spec)
         if band_key not in bands:
             bands[band_key] = _prepare(config, *signals[signal_key])
-        # the visiting order gives every trained run a budget at least this cell's
-        source = trained.get(_column(config))
-        if source is not None and source.config.train.sse_goal > config.train.sse_goal:
-            source = None
+        column = columns.setdefault(_column(config), [])
+        source = next((r for r in reversed(column)
+                       if r.config.train.sse_goal <= config.train.sse_goal), None)
         results[i] = run_method(config, repeats=repeats, source=source,
                                 prepared=bands[band_key])
-        if source is None:
-            trained[_column(config)] = results[i]
+        column.append(results[i])
     return results
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal import _readonly
+
 # Relative singular-value threshold for the rank-revealing least-squares
 # solve; nearly collinear activation columns degrade gracefully.
 _LSTSQ_RCOND = 1e-12
@@ -71,7 +73,8 @@ class RbfNetwork:
     """Trained network: Gaussian centers plus linear output layer.
 
     The one accepted shape of each: centers (k, d) with d >= 1, k >= 0;
-    output_weights (k, m); output_bias (m,).
+    output_weights (k, m); output_bias (m,). Each is stored read-only: a
+    writeable or non-contiguous input is copied, a read-only one shared.
     """
 
     centers: np.ndarray
@@ -92,9 +95,7 @@ class RbfNetwork:
             if not np.isfinite(arr).all():
                 raise ValueError("network parameters must be finite")
         for name, arr in (("centers", c), ("output_weights", w), ("output_bias", b)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(arr))
 
     @property
     def n_centers(self) -> int:
@@ -130,7 +131,8 @@ class TrainTrace:
     number of training inputs. stage_seconds[k] is the trainer's clock at
     the end of stage k, in seconds since train() was entered (stage 0
     ends once the bias-only model and the kernel operator are set up); it
-    is the one field that differs between identical runs.
+    is the one field that differs between identical runs. A cut keeps
+    its run's clock up to the cut, a timed run the median over repeats.
 
     R is the triangular factor of the final design in the training basis:
     one row per basis vector (bias direction first), one column per center
@@ -521,12 +523,14 @@ def cut_run(net: RbfNetwork, trace: TrainTrace,
     the same inputs and targets at the same spread that went at least as far.
 
     The cut ends at the first stage where stop_reason() stops `config`;
-    its output layer is solved on R's leading block like stage_network()
-    does. A cut at the run's own last stage keeps the run's network. Every
-    field but stage_seconds equals that of a standalone run, because the
-    greedy run is nested in its budget and goal. Raises ValueError for
-    another spread, or when the run stopped on its own budget or goal
-    before `config` stops.
+    its trace holds R's leading block and the prefix of the run's stage
+    clock, and a shorter cut's output layer is solved through that trace
+    by stage_network(). A cut at the run's own last stage keeps the run's
+    network. Every field but stage_seconds equals that of a standalone
+    run, because the greedy run is nested in its budget and goal; the run
+    may itself be a cut of a longer one. Raises ValueError for another
+    spread, or when the run stopped on its own budget or goal before
+    `config` stops.
     """
     if config.spread != net.spread:
         raise ValueError(f"a run at spread {net.spread:g} cannot give spread {config.spread:g}")
@@ -550,4 +554,4 @@ def cut_run(net: RbfNetwork, trace: TrainTrace,
         n_inputs=trace.n_inputs,
         stage_seconds=trace.stage_seconds[:stage + 1].copy(),
     )
-    return (net if stage == last else stage_network(net, trace, stage)), cut
+    return (net if stage == last else stage_network(net, cut, stage)), cut

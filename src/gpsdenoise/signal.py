@@ -33,8 +33,10 @@ class SeriesFormatError(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
+    """Float64 a, read-only and contiguous: itself if it is, else a frozen copy."""
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
+        a.flags.writeable = False
     return a
 
 

@@ -411,6 +411,16 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("gpsdenoise: error:") and str(missing) in err[0]
 
+    @pytest.mark.parametrize("raw", [b"\xff{}", b'{"noise": '], ids=["not-ascii", "not-json"])
+    def test_unreadable_config_file_is_named(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        rc = main(["generate", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("gpsdenoise: error:") and str(path) in err[0]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

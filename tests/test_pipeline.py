@@ -17,7 +17,7 @@ from gpsdenoise.pipeline import (
     write_plot_data,
     write_report,
 )
-from gpsdenoise.rbf import TrainConfig, forward, stage_network, train
+from gpsdenoise.rbf import TrainConfig, cut_run, forward, stage_network, train
 from gpsdenoise.signal import (
     NoiseConfig,
     Sinusoid,
@@ -258,12 +258,29 @@ class TestColumnSharing:
         conv = _pair()[0]
         whole, short = run_table([replace(conv, train=TrainConfig(0.0, b, 10.0))
                                   for b in (24, 6)])
-        assert len(short.stage_seconds) == 7
-        assert np.array_equal(short.stage_seconds, whole.stage_seconds[:7])
+        assert len(short.trace.stage_seconds) == 7
+        assert np.array_equal(short.trace.stage_seconds, whole.trace.stage_seconds[:7])
         # the clock at the end of stage 6 plus the cut's own output solve
-        assert short.stage_seconds[-1] < short.elapsed_train_seconds
+        assert short.trace.stage_seconds[-1] < short.elapsed_train_seconds
         twin = run_method(conv, source=whole)
         assert twin.elapsed_train_seconds == whole.elapsed_train_seconds
+
+    def test_a_cell_is_cut_from_the_nearest_result_that_covers_it(self, monkeypatch):
+        from gpsdenoise import pipeline
+
+        cuts = []
+
+        def recording_cut(net, trace, config):
+            cuts.append((net.n_centers, config.max_neurons))
+            return cut_run(net, trace, config)
+
+        monkeypatch.setattr(pipeline, "cut_run", recording_cut)
+        conv = _pair()[0]
+        configs = [replace(conv, train=TrainConfig(0.0, budget, 10.0)) for budget in (12, 8, 4, 4)]
+        results = run_table(configs)
+        assert cuts == [(12, 8), (8, 4), (4, 4)]
+        for config, result in zip(configs, results):
+            _assert_same_result(result, run_method(config))
 
     def test_run_method_rejects_a_source_of_another_column(self):
         conv, impr = _pair()
@@ -316,12 +333,15 @@ class TestSignalStore:
         configs = self._grid()
         results = run_table(configs)
         # the conventional cells of the three bands are one config per budget;
-        # at budget 8 the first trains and the others end at its last stage,
-        # while every budget-4 cell is cut shorter and solves its own stage
-        assert sorted(evaluated) == [4] * 5 + [8] * 3
-        same = [r for r in results if r.config.band == "none" and r.config.train.max_neurons == 8]
-        assert len(same) == 3
-        assert all(r.network is same[0].network and r.outputs is same[0].outputs for r in same)
+        # at each budget the first is trained or cut shorter and the others
+        # end at its last stage, so each distinct config is evaluated once
+        assert sorted(evaluated) == [4] * 3 + [8] * 3
+        for budget in (8, 4):
+            same = [r for r in results
+                    if r.config.band == "none" and r.config.train.max_neurons == budget]
+            assert len(same) == 3
+            assert all(r.network is same[0].network and r.outputs is same[0].outputs
+                       for r in same)
         assert all(not r.outputs.flags.writeable for r in results)
 
     def test_signals_are_kept_apart_by_noise_and_trajectory(self):

@@ -58,6 +58,16 @@ class TestRbfNetwork:
         with pytest.raises(ValueError, match=r"shapes \(k, d\) with d >= 1, \(k, m\) and \(m,\)"):
             RbfNetwork(centers=centers, spread=1.0, output_weights=weights, output_bias=bias)
 
+    def test_writeable_inputs_are_copied_and_stay_writeable(self):
+        c, w, b = np.zeros((2, 1)), np.ones((2, 3)), np.zeros(3)
+        net = RbfNetwork(centers=c, spread=1.0, output_weights=w, output_bias=b)
+        assert c.flags.writeable and w.flags.writeable and b.flags.writeable
+        c[0, 0], w[0, 0], b[0] = 5.0, 7.0, 9.0
+        assert net.centers[0, 0] == 0.0 and net.output_weights[0, 0] == 1.0
+        assert net.output_bias[0] == 0.0
+        assert not any(a.flags.writeable
+                       for a in (net.centers, net.output_weights, net.output_bias))
+
     @pytest.mark.parametrize("spread", [math.nan, math.inf, 1e-300, 1e200])
     def test_rejects_spread_without_a_finite_positive_square(self, spread):
         with pytest.raises(ValueError, match="spread"):

@@ -61,6 +61,17 @@ class TestPositionSeries:
         with pytest.raises(ValueError):
             s.samples[0, 0] = 99.0
 
+    def test_writeable_inputs_are_copied_and_stay_writeable(self):
+        t, x = np.arange(4.0), np.zeros((4, 3))
+        s = PositionSeries(t, x)
+        assert t.flags.writeable and x.flags.writeable
+        t[0], x[0, 0] = -1.0, 99.0
+        assert s.timestamps[0] == 0.0 and s.samples[0, 0] == 0.0
+
+    def test_read_only_inputs_are_shared(self):
+        s = _random_series(0)
+        assert add_noise(s, NoiseConfig(sigma=0.1, seed=3)).timestamps is s.timestamps
+
 
 class TestTrajectoryConfig:
     def test_rejects_single_sample(self):

@@ -202,14 +202,9 @@ def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
 
 
 def _to_json(value):
-    if isinstance(value, TrajectoryConfig):
-        # sinusoids as [amplitude, frequency, phase] lists, the form _sinusoids reads
-        sinusoids = [[[s.amplitude, s.frequency, s.phase] for s in comp]
-                     for comp in value.sinusoids]
-        return dict(vars(value), sinusoids=sinusoids)
-    if dataclasses.is_dataclass(value):
-        return dataclasses.asdict(value)
-    return value
+    # a Sinusoid is a tuple, so its JSON form is the [amplitude, frequency,
+    # phase] list _sinusoids reads
+    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
 
 
 def _write_manifest(path: Path, command: str, config: dict, **extra) -> None:
@@ -417,7 +412,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"gpsdenoise: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"gpsdenoise: failure: {exc}", file=sys.stderr)
         return 1
 

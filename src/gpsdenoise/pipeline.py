@@ -97,17 +97,12 @@ class MethodConfig:
 class BenchmarkResult:
     """One benchmark table cell plus the artifacts needed for plot export.
 
-    elapsed_train_seconds is the median over the timed repeats of the
-    training call alone (see run_method for a cell cut from a longer run);
-    the trace's stage_seconds is the trainer clock's median over them.
-    filter_seconds reports the band-selection cost separately: the one
-    timed selection of the noisy series' band, which every cell of that
-    band shares in a grid (zero for the conventional method). outputs is
-    the network output on the training inputs, read-only, and shared with
-    the result a cell was cut from when the cut keeps its network;
-    output_mse compares it against the clean reference (band-filtered
-    clean reference for the improved method). reference, too, is shared
-    by the cells of one band in a grid.
+    elapsed_train_seconds is the time of the training call alone (see
+    run_method). filter_seconds reports the band-selection cost
+    separately: the one timed selection of the noisy series' band (zero
+    for the conventional method). outputs is the network output on the
+    training inputs, read-only; output_mse compares it against the clean
+    reference (band-filtered clean reference for the improved method).
     """
 
     config: MethodConfig
@@ -170,67 +165,55 @@ def run_method(config: MethodConfig, repeats: int = 1,
                prepared: PreparedSignal | None = None) -> BenchmarkResult:
     """Run one method end to end and measure its training wall time.
 
-    The run builds its own signal (trajectory plus noise draw) and band of
-    it, unless `prepared` hands it the target, reference and filter time
-    that the config's signal and band give; run_table builds those once
-    per signal and band.
-
-    With repeats > 1 an extra warm-up training run is discarded, and
-    elapsed_train_seconds and the trace's stage_seconds are medians over
-    the timed repeats, each the identical deterministic computation.
+    A run trains on the target of `prepared`, the config's signal and band
+    as run_table builds them once per signal and band; without it the run
+    builds its own. With repeats > 1 an extra warm-up training run is
+    discarded, and elapsed_train_seconds and the trace's stage_seconds are
+    medians over the timed repeats, each the identical deterministic
+    computation.
 
     Given the result `source` of a run in the same column that went at
-    least as far, trained or itself cut, the network and trace are cut
-    from it (rbf.cut_run) instead of trained, and repeats is unused. A
-    cut at the source's own last stage keeps its network, and with it its
-    outputs, output_mse and elapsed_train_seconds; a shorter cut reports
-    its trace's clock at its last stage plus the measured time of the
-    cut, which solves its output layer.
+    least as far, trained or itself cut, the run is cut from it instead
+    (rbf.cut_run) and is a function of `source` alone: it reads neither
+    `prepared` nor repeats. A cut that keeps the source's network is the
+    source under the cut's config and trace; a shorter one reports its
+    trace's clock at its last stage plus the measured time of the cut.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if source is not None and _column(source.config) != _column(config):
-        raise ValueError("a run can only be cut from a run of the same signal, band and spread")
-    if prepared is None:
-        prepared = _prepare(config, *_signal(config))
-    target, reference, filter_seconds = prepared
-
-    # regression encoding: time in seconds (n, 1) -> position (n, 3)
-    inputs, targets = target.timestamps[:, None], target.samples
-
-    if source is None:
-        if repeats > 1:
-            train(inputs, targets, config.train)  # warm-up, discarded
-        times, clocks = [], []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            net, trace = train(inputs, targets, config.train)
-            times.append(time.perf_counter() - t0)
-            clocks.append(trace.stage_seconds)
-        elapsed = statistics.median(times)
-        trace.stage_seconds = np.median(clocks, axis=0)
-    else:
+    if source is not None:
+        if _column(source.config) != _column(config):
+            raise ValueError("a run can only be cut from a run of the same signal, band and spread")
         t0 = time.perf_counter()
         net, trace = cut_run(source.network, source.trace, config.train)
+        if net is source.network:
+            return replace(source, config=config, trace=trace)
         elapsed = float(trace.stage_seconds[-1]) + (time.perf_counter() - t0)
+        return _result(config, elapsed, source.filter_seconds, trace, net, source.reference)
 
-    if source is not None and net is source.network:
-        elapsed, outputs, output_mse = (source.elapsed_train_seconds, source.outputs,
-                                        source.output_mse)
-    else:
-        outputs = forward(net, inputs)
-        outputs.flags.writeable = False
-        output_mse = float(np.mean((outputs - reference.samples) ** 2))
-    return BenchmarkResult(
-        config=config,
-        elapsed_train_seconds=elapsed,
-        filter_seconds=filter_seconds,
-        output_mse=output_mse,
-        trace=trace,
-        network=net,
-        outputs=outputs,
-        reference=reference,
-    )
+    target, reference, filter_seconds = prepared or _prepare(config, *_signal(config))
+    # regression encoding: time in seconds (n, 1) -> position (n, 3)
+    inputs, targets = target.timestamps[:, None], target.samples
+    if repeats > 1:
+        train(inputs, targets, config.train)  # warm-up, discarded
+    times, clocks = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        net, trace = train(inputs, targets, config.train)
+        times.append(time.perf_counter() - t0)
+        clocks.append(trace.stage_seconds)
+    trace.stage_seconds = np.median(clocks, axis=0)
+    return _result(config, statistics.median(times), filter_seconds, trace, net, reference)
+
+
+def _result(config: MethodConfig, elapsed: float, filter_seconds: float, trace: TrainTrace,
+            net: RbfNetwork, reference: PositionSeries) -> BenchmarkResult:
+    """The result of `net` scored on the time axis and samples of `reference`."""
+    outputs = forward(net, reference.timestamps[:, None])
+    outputs.flags.writeable = False
+    output_mse = float(np.mean((outputs - reference.samples) ** 2))
+    return BenchmarkResult(config, elapsed, filter_seconds, output_mse, trace, net, outputs,
+                           reference)
 
 
 def build_grid(

@@ -344,6 +344,7 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     identical inputs, targets and config give identical results.
 
     Raises ValueError for any other shape, for empty or non-finite data,
+    for targets whose mean or summed squared deviation from it overflows,
     and for a spread so small against the input span that (span / spread)^2
     overflows.
     """
@@ -382,15 +383,19 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
 
     # Solve against mean-centered targets and fold the means back into the
     # bias: identical residuals, but the least-squares stages keep full
-    # precision when the signal rides on large position offsets.
-    target_means = Y.mean(axis=0)
-
+    # precision when the signal rides on large position offsets. Both must
+    # be finite, which finite targets alone do not promise.
     # Per-output quantities are kept as rows of length n, one per output
     # column, so their elementwise work runs along contiguous memory. The
     # residual starts as the centered targets Yc, transposed: Y less the
     # bias-only predictions.
-    residual = (Y - target_means).T.copy()
-    sse = float(np.vdot(residual, residual))
+    with np.errstate(over="ignore", invalid="ignore"):
+        target_means = Y.mean(axis=0)
+        residual = (Y - target_means).T.copy()
+        sse = float(np.vdot(residual, residual))
+    if not math.isfinite(sse):
+        raise ValueError("targets overflow: their mean or their summed squared deviation "
+                         "from it is not finite")
 
     # One QR factorisation of the design, grown a column at a time (orthogonal
     # least squares): the orthonormal basis Q (rows of `basis`, the bias

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,8 +95,7 @@ def check_dt(dt: float) -> None:
                          f"0.5 / dt, got {dt}")
 
 
-@dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(NamedTuple):
     """One spectral line of the synthetic trajectory."""
 
     amplitude: float
@@ -204,11 +203,16 @@ def add_noise(series: PositionSeries, noise: NoiseConfig) -> PositionSeries:
     """Add seeded i.i.d. Gaussian noise to every entry.
 
     Same seed and input always produce the identical output series;
-    sigma = 0 reproduces the input exactly.
+    sigma = 0 reproduces the input exactly. A sigma whose draw takes a
+    value past the float range is a ValueError naming it.
     """
     rng = np.random.default_rng(noise.seed)
-    g = rng.normal(0.0, noise.sigma, size=series.samples.shape)
-    return PositionSeries(series.timestamps, series.samples + g)
+    with np.errstate(over="ignore"):
+        samples = series.samples + rng.normal(0.0, noise.sigma, size=series.samples.shape)
+    if not np.isfinite(samples).all():
+        raise ValueError(f"noise of sigma {noise.sigma:g} takes the series values past the "
+                         f"float range")
+    return PositionSeries(series.timestamps, samples)
 
 
 def mse(a: PositionSeries, b: PositionSeries) -> float:

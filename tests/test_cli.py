@@ -284,6 +284,15 @@ class TestExitCodes:
         assert rc == 1
         assert "failure" in capsys.readouterr().err
 
+    def test_allocation_the_machine_cannot_serve_exits_one(self, tmp_path, capsys):
+        # 10**15 float64 samples are 7.1 PiB, past any 64-bit address space,
+        # so the allocation is refused at once whatever the memory policy
+        rc = main(["generate", "--samples", str(10 ** 15), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gpsdenoise: failure:")
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("command, config, key", [
         ("generate", {"trajectory": {"dt": 0.5}}, "trajectory.n_samples"),
         ("generate", {"noise": {"seed": [1]}}, "noise.seed"),
@@ -330,6 +339,10 @@ class TestExitCodes:
          "north sinusoid 1 amplitude takes the north values past the float range"),
         # too large for a float, so (n_samples - 1) * dt cannot be formed
         ("generate", {"trajectory": {"n_samples": 10 ** 400, "dt": 0.5}}, "n_samples"),
+        # finite samples whose mean over the series overflows in training
+        ("plot-data", {"trajectory": {"n_samples": 64, "dt": 0.5, "offset": [1e308, 0, 0]},
+                       "noise": {"sigma": 0}, "plot-data": {"nnsize": 4, "spread": 5}},
+         "targets overflow"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -382,6 +395,8 @@ class TestExitCodes:
         (["bench", "--sse", "0,1e-6,0"], "sse 0.0 is given more than once"),
         # (8 - 1) * 1e308 overflows the time axis
         (["generate", "--samples", "8", "--dt", "1e308"], "(n_samples - 1) * dt"),
+        # the noise draw itself leaves the float range
+        (["generate", "--noisy", "--sigma", "1e308"], "sigma 1e+308"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])

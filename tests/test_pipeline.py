@@ -264,6 +264,23 @@ class TestColumnSharing:
         assert short.trace.stage_seconds[-1] < short.elapsed_train_seconds
         twin = run_method(conv, source=whole)
         assert twin.elapsed_train_seconds == whole.elapsed_train_seconds
+        assert twin.reference is whole.reference
+        assert twin.filter_seconds == whole.filter_seconds
+
+    @pytest.mark.parametrize("budget", [24, 6], ids=["twin", "shorter"])
+    def test_a_cut_is_a_function_of_its_source(self, monkeypatch, budget):
+        from gpsdenoise import pipeline
+
+        impr = _pair()[1]
+        whole = run_method(impr)
+        for name in ("generate_trajectory", "add_noise", "select_band"):
+            monkeypatch.setattr(pipeline, name, lambda *args, _name=name: pytest.fail(_name))
+        config = replace(impr, train=TrainConfig(1e-6, budget, 10.0))
+        cut = run_method(config, source=whole)
+        assert cut.reference is whole.reference
+        assert cut.filter_seconds == whole.filter_seconds > 0
+        monkeypatch.undo()
+        _assert_same_result(cut, run_method(config))
 
     def test_a_cell_is_cut_from_the_nearest_result_that_covers_it(self, monkeypatch):
         from gpsdenoise import pipeline

@@ -356,6 +356,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="spread .* spanning"):
             train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=2, spread=spread))
 
+    @pytest.mark.parametrize("Y", [
+        # finite deviations whose squares sum past the float range
+        np.random.default_rng(0).normal(0.0, 1e160, (64, 1)),
+        # finite values whose sum, and so their mean, overflows
+        np.full((64, 1), 1e308),
+    ], ids=["squared-deviation", "mean"])
+    def test_rejects_targets_whose_centred_sum_of_squares_overflows(self, Y):
+        with pytest.raises(ValueError, match="targets overflow"):
+            train(np.arange(64.0)[:, None], Y, TrainConfig(0.0, 5, 2.0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(sse_goal=-1.0, max_neurons=5, spread=1.0)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signal import PositionSeries
+from .signal import PositionSeries, _frozen
 
 BAND_NAMES = ("low", "mid", "high")
 
@@ -84,7 +84,7 @@ def decompose(series: PositionSeries, spec: BandSpec) -> BandDecomposition:
     )
     parts = []
     for band, mask in zip(BAND_NAMES, masks):
-        samples = np.fft.irfft(coeffs * mask[:, None], n=n, axis=0)
+        samples = _frozen(np.fft.irfft(coeffs * mask[:, None], n=n, axis=0))
         parts.append(BandComponent(band, spec, PositionSeries(series.timestamps, samples)))
     return BandDecomposition(*parts)
 

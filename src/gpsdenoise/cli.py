@@ -334,8 +334,9 @@ def cmd_plot_data(args) -> int:
         {"trajectory": trajectory, "noise": noise, "band_spec": band_spec, "plot-data": plot},
         metrics={
             "output_mse": result.output_mse,
-            "final_sse": float(result.trace.sse_history[-1]),
+            "final_sse": result.final_sse,
             "neurons_used": result.network.n_centers,
+            "decimation": config.decimation,
         },
     )
     for path in written:

@@ -3,7 +3,9 @@
 A run is described by its band alone. Band "none" is the conventional
 method: it trains the network directly on the noisy position series. Any
 other band is the improved method: it first selects that frequency band
-of the noisy series and trains on that. Runs are timed around the
+of the noisy series and trains on that band decimated to the coarsest
+grid that still holds it (MethodConfig.decimation), while it is scored
+on the full-rate reference. Runs are timed around the
 training call only, paired runs share the identical trajectory and noise
 realization, and all non-timing outputs are deterministic for a fixed
 seed. A grid builds each of its signals and each band of one once, trains
@@ -40,7 +42,7 @@ FILTERS = ("none",) + BAND_NAMES
 REPORT_HEADER = (
     "method,band,max_neurons,spread,sse_goal,seed,"
     "elapsed_s,filter_s,neurons_used,final_sse,output_mse,"
-    "stop_reason,useful_stages,weight_absmax"
+    "stop_reason,useful_stages,weight_absmax,decimation"
 )
 PLOT_HEADER = "t,original,teaching,learned"
 
@@ -92,6 +94,28 @@ class MethodConfig:
         """The method the band selects: conventional for "none", else improved."""
         return "conventional" if self.band == "none" else "improved"
 
+    @property
+    def decimation(self) -> int:
+        """The factor M by which the run's training grid is decimated.
+
+        M is the largest power of two such that the band's top frequency
+        (low_cutoff for "low", high_cutoff for "mid") is at most
+        1 / (4 M dt), half the Nyquist frequency of the decimated grid, and
+        the decimated grid keeps ceil(n / M) >= 2 max_neurons samples, so
+        the neuron budget stays reachable. The "high" band and "none" reach
+        the Nyquist frequency, so M = 1, as it is when no larger M keeps
+        enough samples.
+        """
+        top = {"low": self.band_spec.low_cutoff, "mid": self.band_spec.high_cutoff}.get(self.band)
+        m = 1
+        if top is None:
+            return m
+        n, dt = self.trajectory.n_samples, self.trajectory.dt
+        # double M while 2M still meets both conditions
+        while top <= 1.0 / (4 * 2 * m * dt) and -(-n // (2 * m)) >= 2 * self.train.max_neurons:
+            m *= 2
+        return m
+
 
 @dataclass
 class BenchmarkResult:
@@ -101,8 +125,11 @@ class BenchmarkResult:
     run_method). filter_seconds reports the band-selection cost
     separately: the one timed selection of the noisy series' band (zero
     for the conventional method). outputs is the network output on the
-    training inputs, read-only; output_mse compares it against the clean
-    reference (band-filtered clean reference for the improved method).
+    reference's full-rate time axis, read-only; output_mse compares it
+    against the clean reference (band-filtered clean reference for the
+    improved method). The trace is the training's on its grid decimated
+    by M = config.decimation, so its SSE history sums over every M-th
+    sample; final_sse scales it to the full grid.
     """
 
     config: MethodConfig
@@ -113,6 +140,11 @@ class BenchmarkResult:
     network: RbfNetwork
     outputs: np.ndarray
     reference: PositionSeries
+
+    @property
+    def final_sse(self) -> float:
+        """The trace's last SSE scaled to the full-rate grid: times the decimation."""
+        return self.config.decimation * float(self.trace.sse_history[-1])
 
 
 @dataclass
@@ -155,9 +187,16 @@ def _prepare(config: MethodConfig, clean: PositionSeries,
 
 def _column(config: MethodConfig) -> tuple:
     """What a config shares with every cell its run can be cut for: all but
-    the neuron budget and the SSE goal."""
+    the neuron budget and the SSE goal, and with the decimation that the
+    budget sets."""
     return (config.noise, config.trajectory, config.band, config.band_spec,
-            config.train.spread)
+            config.train.spread, config.decimation)
+
+
+def _fit_config(config: MethodConfig) -> TrainConfig:
+    """The TrainConfig a run trains and cuts with: its SSE goal divided by
+    the decimation, so the goal keeps its full-rate meaning."""
+    return replace(config.train, sse_goal=config.train.sse_goal / config.decimation)
 
 
 def run_method(config: MethodConfig, repeats: int = 1,
@@ -167,7 +206,9 @@ def run_method(config: MethodConfig, repeats: int = 1,
 
     A run trains on the target of `prepared`, the config's signal and band
     as run_table builds them once per signal and band; without it the run
-    builds its own. With repeats > 1 an extra warm-up training run is
+    builds its own. It trains on every config.decimation-th sample of that
+    target with the goal of _fit_config and is scored on the full-rate
+    reference. With repeats > 1 an extra warm-up training run is
     discarded, and elapsed_train_seconds and the trace's stage_seconds are
     medians over the timed repeats, each the identical deterministic
     computation.
@@ -183,23 +224,26 @@ def run_method(config: MethodConfig, repeats: int = 1,
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if source is not None:
         if _column(source.config) != _column(config):
-            raise ValueError("a run can only be cut from a run of the same signal, band and spread")
+            raise ValueError("a run can only be cut from a run of the same signal, band, "
+                             "spread and decimation")
         t0 = time.perf_counter()
-        net, trace = cut_run(source.network, source.trace, config.train)
+        net, trace = cut_run(source.network, source.trace, _fit_config(config))
         if net is source.network:
             return replace(source, config=config, trace=trace)
         elapsed = float(trace.stage_seconds[-1]) + (time.perf_counter() - t0)
         return _result(config, elapsed, source.filter_seconds, trace, net, source.reference)
 
     target, reference, filter_seconds = prepared or _prepare(config, *_signal(config))
-    # regression encoding: time in seconds (n, 1) -> position (n, 3)
-    inputs, targets = target.timestamps[:, None], target.samples
+    # regression encoding: time in seconds (n', 1) -> position (n', 3), n' = ceil(n / M)
+    m = config.decimation
+    inputs, targets = target.timestamps[::m, None], target.samples[::m]
+    fit = _fit_config(config)
     if repeats > 1:
-        train(inputs, targets, config.train)  # warm-up, discarded
+        train(inputs, targets, fit)  # warm-up, discarded
     times, clocks = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        net, trace = train(inputs, targets, config.train)
+        net, trace = train(inputs, targets, fit)
         times.append(time.perf_counter() - t0)
         clocks.append(trace.stage_seconds)
     trace.stage_seconds = np.median(clocks, axis=0)
@@ -253,12 +297,12 @@ def run_table(configs: Iterable[MethodConfig], repeats: int = 1) -> list[Benchma
     reference and filter time. These live for this call only.
 
     The configs fall into columns: cells that share noise, trajectory,
-    band, band spec and spread, and differ only in neuron budget and SSE
-    goal. Greedy training is nested in both. Cells are visited by budget,
-    largest first, then by goal, smallest first, so every earlier result
-    of a column has at least a cell's budget; the cell is cut from the
-    nearest of them, trained or cut, whose goal is at most its own, and
-    trains only when there is none. An equal cell shares its twin's
+    band, band spec, spread and decimation, and differ only in neuron
+    budget and SSE goal. Greedy training is nested in both. Cells are
+    visited by budget, largest first, then by goal, smallest first, so
+    every earlier result of a column has at least a cell's budget; the
+    cell is cut from the nearest of them, trained or cut, whose goal is at
+    most its own, and trains only when there is none. An equal cell shares its twin's
     network, outputs and time, and a column trains once when one of its
     cells has both the largest budget and the smallest goal.
     Every config still gets one run_method call, and every result equals
@@ -328,8 +372,9 @@ def _fmt(value) -> str:
 def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
     """Write the benchmark table as CSV (one row per result, grid order).
 
-    After the run's settings, timings and fit come why training stopped,
-    how many stages lowered the error, and the largest output weight.
+    After the run's settings, timings and fit (final_sse on the full-rate
+    grid) come why training stopped, how many stages lowered the error,
+    the largest output weight and the decimation of the training grid.
     """
     rows = [REPORT_HEADER]
     for r in results:
@@ -344,11 +389,12 @@ def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
             _fmt(r.elapsed_train_seconds),
             _fmt(r.filter_seconds),
             str(r.network.n_centers),
-            _fmt(r.trace.sse_history[-1]),
+            _fmt(r.final_sse),
             _fmt(r.output_mse),
             r.trace.stop_reason,
             str(int(np.count_nonzero(np.diff(r.trace.sse_history) < 0))),
             _fmt(np.abs(r.network.output_weights).max(initial=0.0)),
+            str(cfg.decimation),
         ]))
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 

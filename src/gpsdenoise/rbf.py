@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import _readonly
+from .signal import _frozen, _readonly
 
 # Relative singular-value threshold for the rank-revealing least-squares
 # solve; nearly collinear activation columns degrade gracefully.
@@ -161,9 +161,10 @@ class TrainTrace:
 
     def stage_weights(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
         """(output_weights, output_bias) after `stage` centers: the minimum-norm
-        least-squares solution of that stage's design, solved on R's leading block."""
+        least-squares solution of that stage's design, solved on R's leading block.
+        Both are fresh and read-only, so an RbfNetwork shares them."""
         weights, centered_bias = solve_output_weights(*self._factor(stage))
-        return weights, centered_bias + self.target_means
+        return _frozen(weights), _frozen(centered_bias + self.target_means)
 
 
 def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
@@ -503,7 +504,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     )
     weights, bias = trace.stage_weights(len(chosen))
     net = RbfNetwork(
-        centers=X[chosen],
+        centers=_frozen(X[chosen]),
         spread=config.spread,
         output_weights=weights,
         output_bias=bias,

@@ -40,6 +40,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only: a fresh array its builder hands to a constructor
+    and never writes again, which _readonly then shares instead of copying."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class PositionSeries:
     """Uniformly sampled 3-component position signal.
@@ -196,7 +203,7 @@ def generate_trajectory(config: TrajectoryConfig) -> PositionSeries:
         for s in config.sinusoids[c]:
             col = col + s.amplitude * np.sin(2.0 * math.pi * s.frequency * t + s.phase)
         samples[:, c] = col
-    return PositionSeries(t, samples)
+    return PositionSeries(_frozen(t), _frozen(samples))
 
 
 def add_noise(series: PositionSeries, noise: NoiseConfig) -> PositionSeries:
@@ -212,7 +219,7 @@ def add_noise(series: PositionSeries, noise: NoiseConfig) -> PositionSeries:
     if not np.isfinite(samples).all():
         raise ValueError(f"noise of sigma {noise.sigma:g} takes the series values past the "
                          f"float range")
-    return PositionSeries(series.timestamps, samples)
+    return PositionSeries(series.timestamps, _frozen(samples))
 
 
 def mse(a: PositionSeries, b: PositionSeries) -> float:
@@ -283,6 +290,6 @@ def read_series(path: str | Path) -> PositionSeries:
     if not rows:
         raise SeriesFormatError("no data rows", line=1)
     try:
-        return PositionSeries(np.array(times), np.array(rows))
+        return PositionSeries(_frozen(np.array(times)), _frozen(np.array(rows)))
     except ValueError as exc:
         raise SeriesFormatError(f"invalid series data: {exc}") from exc

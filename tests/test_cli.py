@@ -199,6 +199,22 @@ class TestPlotData:
         assert rc == 0
         assert (tmp_path / "plot_conventional_north.csv").exists()
 
+    def test_manifest_records_the_decimation(self, tmp_path):
+        # the default signal at 512 samples and 10 neurons, as the
+        # window_export benchmark workload runs it
+        config = tmp_path / "window.json"
+        _load_benchmark("workloads").write_trajectory_config(config, 512)
+        decimation = {}
+        for band in ("none", "low", "mid", "high"):
+            assert main(["plot-data", "--config", str(config), "--filter", band, "--nnsize", "10",
+                         "--component", "north", "--out-dir", str(tmp_path)]) == 0
+            tag = "conventional" if band == "none" else f"improved_{band}"
+            manifest = json.loads((tmp_path / f"plot_{tag}_manifest.json").read_text())
+            decimation[band] = manifest["metrics"]["decimation"]
+            rows = (tmp_path / f"plot_{tag}_north.csv").read_text().splitlines()
+            assert len(rows) == 513
+        assert decimation == {"none": 1, "low": 16, "mid": 4, "high": 1}
+
 
 # One run per command; the {config} placeholder is the small config file.
 REPLAY_RUNS = {
@@ -528,10 +544,16 @@ def test_benchmark_sees_every_band_decomposition(tmp_path, small_config):
 
 
 def test_benchmark_checks_cells_cut_from_a_longer_run():
-    """Cells read off their column's longer run pass the benchmark's own checks."""
+    """Cells read off their column's longer run pass the benchmark's own checks.
+
+    The mid band trains at decimation 4 for both budgets, so the budget-2
+    cells are cut from the budget-4 runs. (The low band of 512 samples is
+    its DC bin alone: decimated, it is constant and stops at stage 0.)
+    """
     workloads = _load_benchmark("workloads")
     trajectory = dataclasses.replace(DEFAULT_TRAJECTORY, n_samples=512)
-    configs = build_grid([2, 4], [50.0], [0.0], ["low"], trajectory=trajectory)
+    configs = build_grid([2, 4], [50.0], [0.0], ["mid"], trajectory=trajectory)
+    assert [c.decimation for c in configs] == [1, 4, 1, 4]
     op = workloads.Op(argv=[])
     op.results = run_table(configs)
     op.check_results(len(configs))

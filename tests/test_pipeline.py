@@ -4,8 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpsdenoise.bandfilter import BandSpec, select_band
+from gpsdenoise import pipeline
+from gpsdenoise.bandfilter import BandSpec, decompose, select_band
 from gpsdenoise.pipeline import (
+    DEFAULT_BAND_SPEC,
+    DEFAULT_NOISE,
+    DEFAULT_TRAJECTORY,
     FILTERS,
     PLOT_HEADER,
     REPORT_HEADER,
@@ -126,6 +130,89 @@ class TestRunMethod:
         assert r.config.band == band
 
 
+def _default(band, max_neurons, n_samples=4096, spread=50.0, sse_goal=1e-6):
+    """A config of the default signal at another length."""
+    return MethodConfig(train=TrainConfig(sse_goal, max_neurons, spread), noise=DEFAULT_NOISE,
+                        trajectory=replace(DEFAULT_TRAJECTORY, n_samples=n_samples), band=band)
+
+
+def _fft_interpolate(coarse, n):
+    """The n-sample series whose spectrum is that of `coarse` zero-padded:
+    exact for a coarse grid of n / M samples whose band stays below its
+    Nyquist frequency."""
+    spectrum = np.zeros((n // 2 + 1, coarse.shape[1]), dtype=complex)
+    short = np.fft.rfft(coarse, axis=0)
+    spectrum[:short.shape[0]] = short
+    return np.fft.irfft(spectrum, n=n, axis=0) * (n / coarse.shape[0])
+
+
+class TestDecimation:
+    """The improved method trains on its band decimated by MethodConfig.decimation."""
+
+    @pytest.mark.parametrize("band, max_neurons, n_samples, expected", [
+        ("none", 100, 4096, 1), ("high", 100, 4096, 1),
+        ("low", 100, 4096, 16), ("low", 50, 4096, 32), ("mid", 100, 4096, 4),
+        ("low", 50, 8192, 64),
+        ("low", 10, 512, 16), ("mid", 10, 512, 4), ("high", 10, 512, 1),
+        # 2 * max_neurons samples are out of reach at any M
+        ("low", 300, 512, 1),
+    ])
+    def test_the_rule_on_the_benchmark_configs(self, band, max_neurons, n_samples, expected):
+        assert _default(band, max_neurons, n_samples).decimation == expected
+
+    def test_the_largest_admissible_power_of_two(self):
+        # low_cutoff 0.03 Hz at dt 0.5 allows M <= 1 / (4 * 0.03 * 0.5) = 16.7,
+        # and 256 samples keep ceil(256 / M) >= 2 * budget up to M = 256 / (2 * budget)
+        for budget, expected in ((1, 16), (8, 16), (9, 8), (16, 8), (17, 4), (64, 2), (65, 1)):
+            config = replace(_pair()[1], train=TrainConfig(0.0, budget, 10.0))
+            assert config.decimation == expected, budget
+
+    @pytest.mark.parametrize("band, max_neurons", [("low", 100), ("low", 50), ("mid", 100)])
+    def test_an_admissible_decimation_loses_nothing(self, band, max_neurons):
+        config = _default(band, max_neurons)
+        m = config.decimation
+        noisy = add_noise(generate_trajectory(config.trajectory), config.noise)
+        samples = getattr(decompose(noisy, DEFAULT_BAND_SPEC), band).series.samples
+        scale = np.abs(samples).max()
+        n = samples.shape[0]
+        assert np.abs(_fft_interpolate(samples[::m], n) - samples).max() <= 1e-12 * scale
+        if band == "mid":
+            # four times as coarse, the noise above the grid's Nyquist frequency aliases
+            assert np.abs(_fft_interpolate(samples[::4 * m], n) - samples).max() > 1e-3 * scale
+
+    def test_training_reads_every_mth_sample_with_the_goal_scaled(self, monkeypatch):
+        seen = []
+
+        def recording(inputs, targets, config):
+            seen.append((inputs.shape[0], config.sse_goal))
+            return train(inputs, targets, config)
+
+        monkeypatch.setattr(pipeline, "train", recording)
+        _, impr = _pair(sse_goal=1e-3, max_neurons=6)
+        result = run_method(impr)
+        assert impr.decimation == 16
+        assert seen == [(16, 1e-3 / 16)]
+        assert result.trace.n_inputs == 16
+        # scored on the full-rate reference
+        assert result.outputs.shape == (SMALL_TRAJECTORY.n_samples, 3)
+        assert result.final_sse == 16 * result.trace.sse_history[-1]
+
+    @pytest.mark.parametrize("config", [
+        *(c for c in build_grid([50, 100], [30.0, 50.0, 100.0], [1e-6], ["low"])
+          if c.band == "low"),
+        _default("low", 50, n_samples=8192, sse_goal=0.0),
+    ], ids=lambda c: f"{c.trajectory.n_samples}-{c.train.max_neurons}-{c.train.spread:g}")
+    def test_matched_accuracy_against_a_full_rate_training(self, config):
+        # the band MSE on the full grid stays within 1% of training on every sample
+        target, reference, _ = pipeline._prepare(config, *pipeline._signal(config))
+        net, _ = train(target.timestamps[:, None], target.samples, config.train)
+        full_rate = float(np.mean((forward(net, reference.timestamps[:, None])
+                                   - reference.samples) ** 2))
+        result = run_method(config)
+        assert config.decimation > 1
+        assert result.output_mse == pytest.approx(full_rate, rel=0.01)
+
+
 class TestRunTable:
     def test_single_pair_contract(self):
         results = run_table(_pair())
@@ -148,7 +235,7 @@ class TestRunTable:
         lines = path.read_text().splitlines()
         assert lines[0] == REPORT_HEADER
         assert len(lines) == 9
-        assert all(len(line.split(",")) == 14 for line in lines)
+        assert all(len(line.split(",")) == 15 for line in lines)
 
     def test_rerun_non_timing_fields_identical(self):
         configs = _pair(max_neurons=8)
@@ -267,12 +354,14 @@ class TestColumnSharing:
         assert twin.reference is whole.reference
         assert twin.filter_seconds == whole.filter_seconds
 
-    @pytest.mark.parametrize("budget", [24, 6], ids=["twin", "shorter"])
+    # budgets 17 to 24 keep the small low band's decimation at 4
+    @pytest.mark.parametrize("budget", [24, 18], ids=["twin", "shorter"])
     def test_a_cut_is_a_function_of_its_source(self, monkeypatch, budget):
         from gpsdenoise import pipeline
 
         impr = _pair()[1]
         whole = run_method(impr)
+        assert impr.decimation == 4
         for name in ("generate_trajectory", "add_noise", "select_band"):
             monkeypatch.setattr(pipeline, name, lambda *args, _name=name: pytest.fail(_name))
         config = replace(impr, train=TrainConfig(1e-6, budget, 10.0))
@@ -303,6 +392,11 @@ class TestColumnSharing:
         conv, impr = _pair()
         with pytest.raises(ValueError, match="same signal"):
             run_method(impr, source=run_method(conv))
+        # budget 6 decimates the small low band by 16, budget 24 by 4
+        short = replace(impr, train=TrainConfig(1e-6, 6, 10.0))
+        assert (impr.decimation, short.decimation) == (4, 16)
+        with pytest.raises(ValueError, match="decimation"):
+            run_method(short, source=run_method(impr))
 
 
 class TestSignalStore:
@@ -493,11 +587,14 @@ class TestReport:
         write_report(results, path)
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
-        assert header[11:] == ["stop_reason", "useful_stages", "weight_absmax"]
+        assert header[11:] == ["stop_reason", "useful_stages", "weight_absmax", "decimation"]
         for line, result in zip(lines[1:], results):
             cells = line.split(",")
             history = result.trace.sse_history
             assert cells[11] == result.trace.stop_reason
             assert int(cells[12]) == sum(b < a for a, b in zip(history, history[1:]))
             assert float(cells[13]) == np.max(np.abs(result.network.output_weights))
+            assert int(cells[14]) == result.config.decimation
+            # final_sse is on the full-rate grid
+            assert float(cells[9]) == result.config.decimation * history[-1]
         assert int(lines[1].split(",")[12]) < results[0].network.n_centers

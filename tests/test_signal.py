@@ -72,6 +72,39 @@ class TestPositionSeries:
         s = _random_series(0)
         assert add_noise(s, NoiseConfig(sigma=0.1, seed=3)).timestamps is s.timestamps
 
+    def test_builders_hand_constructors_frozen_arrays(self, monkeypatch, tmp_path):
+        # every array the library builds for a PositionSeries or an RbfNetwork
+        # reaches _readonly already read-only, so the constructor shares it
+        from gpsdenoise import rbf, signal
+        from gpsdenoise.bandfilter import BandSpec, decompose
+
+        passed, readonly = [], signal._readonly
+
+        def recording(a):
+            passed.append(a.flags.writeable)
+            return readonly(a)
+
+        monkeypatch.setattr(signal, "_readonly", recording)
+        monkeypatch.setattr(rbf, "_readonly", recording)
+        callers = {}
+
+        def record(name, build):
+            start = len(passed)
+            out = build()
+            callers[name] = passed[start:]
+            return out
+
+        config = TrajectoryConfig(n_samples=64, dt=0.5, sinusoids=((Sinusoid(1.0, 0.05),), (), ()))
+        clean = record("generate_trajectory", lambda: generate_trajectory(config))
+        noisy = record("add_noise", lambda: add_noise(clean, NoiseConfig(sigma=0.1, seed=3)))
+        write_series(noisy, tmp_path / "s.csv")
+        record("read_series", lambda: read_series(tmp_path / "s.csv"))
+        record("decompose", lambda: decompose(noisy, BandSpec(0.1, 0.5)))
+        net, trace = record("train", lambda: rbf.train(noisy.timestamps[:, None], noisy.samples,
+                                                        rbf.TrainConfig(0.0, 6, 2.0)))
+        record("stage_network", lambda: rbf.stage_network(net, trace, 3))
+        assert all(callers.values()) and not any(passed), callers
+
 
 class TestTrajectoryConfig:
     def test_rejects_single_sample(self):

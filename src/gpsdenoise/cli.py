@@ -1,7 +1,8 @@
 """Command-line entry point: generate, bench, plot-data.
 
-Every setting resolves the same way: an explicit flag wins over the
---config value, which wins over the default. Every command writes the
+_SCHEMA declares every config key once, with its cast and default. Every
+setting resolves the same way: an explicit flag wins over the --config
+value, which wins over the default. Every command writes the
 resolved settings into a JSON manifest next to its outputs, under the keys
 the config readers read, so the manifest fed back through --config reruns
 the exact same computation.
@@ -18,6 +19,7 @@ import math
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .bandfilter import BandSpec
@@ -50,60 +52,13 @@ from .signal import (
 
 _REQUIRED = object()
 
-# The config schema: every section with its keys, for all three commands
-# alike, so a manifest written by any command loads into any command.
-# None marks a top-level value rather than a section.
-_SCHEMA = {
-    "trajectory": ("n_samples", "dt", "sinusoids", "drift", "offset"),
-    "noise": ("sigma", "seed"),
-    "band_spec": ("low_cutoff", "high_cutoff"),
-    "noisy": None,
-    "bench": ("nnsize", "spread", "sse", "filter", "repeats"),
-    "plot-data": ("component", "filter", "nnsize", "spread", "sse"),
-}
 
+class _Key(NamedTuple):
+    """One config key: the cast a config value goes through, and the value
+    used when neither a flag nor the config gives one (_REQUIRED: none)."""
 
-def _check_schema(cfg: dict) -> None:
-    """Reject a section or key outside _SCHEMA, and a section that is not an object."""
-    for section, value in cfg.items():
-        if section not in _SCHEMA:
-            raise ValueError(f"unknown config section '{section}' (use {', '.join(_SCHEMA)})")
-        keys = _SCHEMA[section]
-        if keys is None:
-            continue
-        if not isinstance(value, dict):
-            raise ValueError(f"config key '{section}' must be a JSON object, got {value!r}")
-        for key in value:
-            if key not in keys:
-                raise ValueError(f"unknown config key '{section}.{key}' (use {', '.join(keys)})")
-
-
-def _config_value(cfg: dict, path: str, cast, default=_REQUIRED):
-    """Read the config value at dotted `path`, e.g. "trajectory.n_samples", through `cast`.
-
-    `cfg` has passed _check_schema. A missing required value, or one that
-    `cast` rejects, raises a ValueError naming the key, which the CLI
-    reports as a usage error.
-    """
-    *sections, key = path.split(".")
-    doc = cfg
-    for name in sections:
-        doc = doc.get(name, {})
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ValueError(f"config key '{path}' is missing")
-        return default
-    try:
-        return cast(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config key '{path}' has invalid value {doc[key]!r}: {exc}") from None
-
-
-def _setting(flag, cfg: dict, path: str, cast, default=_REQUIRED):
-    """An explicit flag wins over the config value, which wins over the default."""
-    if flag is not None:
-        return flag
-    return _config_value(cfg, path, cast, default)
+    cast: Callable
+    default: object
 
 
 def _list_of(cast):
@@ -137,7 +92,53 @@ def _sinusoids(value) -> tuple[tuple[Sinusoid, ...], ...]:
     return tuple(tuple(Sinusoid(*_list_of(_number)(s)) for s in comp) for comp in value)
 
 
+# The config schema: every section with its keys, for all three commands
+# alike, so a manifest written by any command loads into any command. A
+# _Key in place of a section is a top-level value. The trajectory section
+# as a whole defaults to DEFAULT_TRAJECTORY; given, it needs n_samples and dt.
+_SCHEMA = {
+    "trajectory": {
+        "n_samples": _Key(_integer, _REQUIRED), "dt": _Key(_number, _REQUIRED),
+        "sinusoids": _Key(_sinusoids, ((), (), ())),
+        "drift": _Key(_list_of(_number), (0.0, 0.0, 0.0)),
+        "offset": _Key(_list_of(_number), (0.0, 0.0, 0.0)),
+    },
+    "noise": {"sigma": _Key(_number, DEFAULT_NOISE.sigma), "seed": _Key(_integer, DEFAULT_SEED)},
+    "band_spec": {"low_cutoff": _Key(_number, DEFAULT_BAND_SPEC.low_cutoff),
+                  "high_cutoff": _Key(_number, DEFAULT_BAND_SPEC.high_cutoff)},
+    "noisy": _Key(_boolean, False),
+    "bench": {
+        "nnsize": _Key(_list_of(_integer), (50, 100)),
+        "spread": _Key(_list_of(_number), (30.0, 50.0, 100.0)),
+        "sse": _Key(_list_of(_number), (1e-6,)),
+        "filter": _Key(_list_of(str), ("low",)),
+        "repeats": _Key(_integer, 5),
+    },
+    "plot-data": {
+        "component": _Key(_list_of(str), COMPONENTS),
+        "filter": _Key(str, "none"),
+        "nnsize": _Key(_integer, DEFAULT_TRAIN.max_neurons),
+        "spread": _Key(_number, DEFAULT_TRAIN.spread),
+        "sse": _Key(_number, DEFAULT_TRAIN.sse_goal),
+    },
+}
+
+
+def _cast(path: str, key: _Key, value):
+    """`value` through the cast of `key`; a rejected value raises a ValueError naming `path`."""
+    try:
+        return key.cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config key '{path}' has invalid value {value!r}: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
+    """The --config file's sections with every value cast through _SCHEMA.
+
+    A section or key outside _SCHEMA, a section that is not an object and
+    a value its cast rejects raise a ValueError naming it, whichever
+    sections the command reads.
+    """
     if path is None:
         return {}
     try:
@@ -151,21 +152,41 @@ def _load_config(path: str | None) -> dict:
         doc = doc.get("config", doc)
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    _check_schema(doc)
-    return doc
+    cfg = {}
+    for section, value in doc.items():
+        if section not in _SCHEMA:
+            raise ValueError(f"unknown config section '{section}' (use {', '.join(_SCHEMA)})")
+        keys = _SCHEMA[section]
+        if isinstance(keys, _Key):
+            cfg[section] = _cast(section, keys, value)
+            continue
+        if not isinstance(value, dict):
+            raise ValueError(f"config key '{section}' must be a JSON object, got {value!r}")
+        for key in value:
+            if key not in keys:
+                raise ValueError(f"unknown config key '{section}.{key}' (use {', '.join(keys)})")
+        cfg[section] = {key: _cast(f"{section}.{key}", keys[key], v) for key, v in value.items()}
+    return cfg
 
 
-def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
-                    sigma=None) -> tuple[TrajectoryConfig, NoiseConfig, BandSpec]:
-    trajectory = DEFAULT_TRAJECTORY
-    if "trajectory" in cfg:
-        trajectory = TrajectoryConfig(
-            n_samples=_config_value(cfg, "trajectory.n_samples", _integer),
-            dt=_config_value(cfg, "trajectory.dt", _number),
-            sinusoids=_config_value(cfg, "trajectory.sinusoids", _sinusoids, ((), (), ())),
-            drift=tuple(_config_value(cfg, "trajectory.drift", _list_of(_number), [0.0] * 3)),
-            offset=tuple(_config_value(cfg, "trajectory.offset", _list_of(_number), [0.0] * 3)),
-        )
+def _section(cfg: dict, name: str, args=None) -> dict:
+    """Every key of section `name`: the flag of the key's name in `args`
+    when given, else the config value, else the default."""
+    values = {}
+    for key, (_, default) in _SCHEMA[name].items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(name, {}).get(key, default)
+        if value is _REQUIRED:
+            raise ValueError(f"config key '{name}.{key}' is missing")
+        values[key] = value
+    return values
+
+
+def _resolve_common(cfg: dict, args) -> tuple[TrajectoryConfig, NoiseConfig, BandSpec]:
+    trajectory = (TrajectoryConfig(**_section(cfg, "trajectory")) if "trajectory" in cfg
+                  else DEFAULT_TRAJECTORY)
+    samples, dt = getattr(args, "samples", None), getattr(args, "dt", None)
     overrides = {}
     if samples is not None:
         overrides["n_samples"] = samples
@@ -187,18 +208,8 @@ def _resolve_common(cfg: dict, seed=None, samples=None, dt=None,
                              f"stretched drift and frequency must be finite")
     if overrides:
         trajectory = dataclasses.replace(trajectory, **overrides)
-
-    noise = NoiseConfig(
-        sigma=_setting(sigma, cfg, "noise.sigma", _number, DEFAULT_NOISE.sigma),
-        seed=_setting(seed, cfg, "noise.seed", _integer, DEFAULT_SEED),
-    )
-    band_spec = BandSpec(
-        low_cutoff=_config_value(cfg, "band_spec.low_cutoff", _number,
-                                 DEFAULT_BAND_SPEC.low_cutoff),
-        high_cutoff=_config_value(cfg, "band_spec.high_cutoff", _number,
-                                  DEFAULT_BAND_SPEC.high_cutoff),
-    )
-    return trajectory, noise, band_spec
+    return (trajectory, NoiseConfig(**_section(cfg, "noise", args)),
+            BandSpec(**_section(cfg, "band_spec")))
 
 
 def _to_json(value):
@@ -251,8 +262,8 @@ def _check_names(kind: str, names: list, allowed: tuple) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    trajectory, noise, _ = _resolve_common(cfg, args.seed, args.samples, args.dt, args.sigma)
-    noisy = _setting(args.noisy, cfg, "noisy", _boolean, False)
+    trajectory, noise, _ = _resolve_common(cfg, args)
+    noisy = args.noisy or cfg.get("noisy", _SCHEMA["noisy"].default)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = Path(args.out) if args.out else out_dir / "series.csv"
@@ -271,14 +282,8 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    trajectory, noise, band_spec = _resolve_common(cfg, args.seed)
-    bench = {
-        "nnsize": _setting(args.nnsize, cfg, "bench.nnsize", _list_of(_integer), [50, 100]),
-        "spread": _setting(args.spread, cfg, "bench.spread", _list_of(_number), [30.0, 50.0, 100.0]),
-        "sse": _setting(args.sse, cfg, "bench.sse", _list_of(_number), [1e-6]),
-        "filter": _setting(args.filter, cfg, "bench.filter", _list_of(str), ["low"]),
-        "repeats": _setting(args.repeats, cfg, "bench.repeats", _integer, 5),
-    }
+    trajectory, noise, band_spec = _resolve_common(cfg, args)
+    bench = _section(cfg, "bench", args)
     _check_names("filter", bench["filter"], FILTERS)
     for key in ("nnsize", "spread", "sse"):
         _check_distinct(key, bench[key])
@@ -300,16 +305,8 @@ def cmd_bench(args) -> int:
 
 def cmd_plot_data(args) -> int:
     cfg = _load_config(args.config)
-    trajectory, noise, band_spec = _resolve_common(cfg, args.seed)
-    plot = {
-        "component": _setting(args.component, cfg, "plot-data.component", _list_of(str),
-                              list(COMPONENTS)),
-        "filter": _setting(args.filter, cfg, "plot-data.filter", str, "none"),
-        "nnsize": _setting(args.nnsize, cfg, "plot-data.nnsize", _integer,
-                           DEFAULT_TRAIN.max_neurons),
-        "spread": _setting(args.spread, cfg, "plot-data.spread", _number, DEFAULT_TRAIN.spread),
-        "sse": _setting(args.sse, cfg, "plot-data.sse", _number, DEFAULT_TRAIN.sse_goal),
-    }
+    trajectory, noise, band_spec = _resolve_common(cfg, args)
+    plot = _section(cfg, "plot-data", args)
     _check_names("component", plot["component"], COMPONENTS)
     _check_names("filter", [plot["filter"]], FILTERS)
 
@@ -391,17 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("plot-data", help="run one method and export plot columns")
+    defaults = _SCHEMA["plot-data"]
     add_common(p)
     p.add_argument("--component", type=lambda s: _csv_list(s, str), default=None,
                    help="comma-separated components: north,east,alt (default all three)")
     p.add_argument("--filter", default=None, choices=FILTERS,
                    help="band for the improved method; none (default) = conventional")
     p.add_argument("--nnsize", type=int, default=None,
-                   help=f"neuron budget (default {DEFAULT_TRAIN.max_neurons})")
+                   help=f"neuron budget (default {defaults['nnsize'].default})")
     p.add_argument("--spread", type=float, default=None,
-                   help=f"spread constant (default {DEFAULT_TRAIN.spread:g})")
+                   help=f"spread constant (default {defaults['spread'].default:g})")
     p.add_argument("--sse", type=float, default=None,
-                   help=f"SSE goal (default {DEFAULT_TRAIN.sse_goal:g})")
+                   help=f"SSE goal (default {defaults['sse'].default:g})")
     p.set_defaults(func=cmd_plot_data)
     return parser
 

@@ -39,11 +39,6 @@ from .signal import (
 # Every value a run's band may take: "none" (conventional) or one band.
 FILTERS = ("none",) + BAND_NAMES
 
-REPORT_HEADER = (
-    "method,band,max_neurons,spread,sse_goal,seed,"
-    "elapsed_s,filter_s,neurons_used,final_sse,output_mse,"
-    "stop_reason,useful_stages,weight_absmax,decimation"
-)
 PLOT_HEADER = "t,original,teaching,learned"
 
 # Default desk-scale benchmark: 4096 samples at 10 Hz (409.6 s span).
@@ -369,33 +364,34 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
-    """Write the benchmark table as CSV (one row per result, grid order).
+# The report's columns in order, each with the cell it writes for a result:
+# the run's settings, its timings and fit (final_sse on the full-rate
+# grid), why training stopped, how many stages lowered the error, the
+# largest output weight and the decimation of the training grid.
+REPORT_COLUMNS = (
+    ("method", lambda r: r.config.method),
+    ("band", lambda r: r.config.band),
+    ("max_neurons", lambda r: str(r.config.train.max_neurons)),
+    ("spread", lambda r: _fmt(r.config.train.spread)),
+    ("sse_goal", lambda r: _fmt(r.config.train.sse_goal)),
+    ("seed", lambda r: str(r.config.noise.seed)),
+    ("elapsed_s", lambda r: _fmt(r.elapsed_train_seconds)),
+    ("filter_s", lambda r: _fmt(r.filter_seconds)),
+    ("neurons_used", lambda r: str(r.network.n_centers)),
+    ("final_sse", lambda r: _fmt(r.final_sse)),
+    ("output_mse", lambda r: _fmt(r.output_mse)),
+    ("stop_reason", lambda r: r.trace.stop_reason),
+    ("useful_stages", lambda r: str(int(np.count_nonzero(np.diff(r.trace.sse_history) < 0)))),
+    ("weight_absmax", lambda r: _fmt(np.abs(r.network.output_weights).max(initial=0.0))),
+    ("decimation", lambda r: str(r.config.decimation)),
+)
+REPORT_HEADER = ",".join(name for name, _ in REPORT_COLUMNS)
 
-    After the run's settings, timings and fit (final_sse on the full-rate
-    grid) come why training stopped, how many stages lowered the error,
-    the largest output weight and the decimation of the training grid.
-    """
-    rows = [REPORT_HEADER]
-    for r in results:
-        cfg = r.config
-        rows.append(",".join([
-            cfg.method,
-            cfg.band,
-            str(cfg.train.max_neurons),
-            _fmt(cfg.train.spread),
-            _fmt(cfg.train.sse_goal),
-            str(cfg.noise.seed),
-            _fmt(r.elapsed_train_seconds),
-            _fmt(r.filter_seconds),
-            str(r.network.n_centers),
-            _fmt(r.final_sse),
-            _fmt(r.output_mse),
-            r.trace.stop_reason,
-            str(int(np.count_nonzero(np.diff(r.trace.sse_history) < 0))),
-            _fmt(np.abs(r.network.output_weights).max(initial=0.0)),
-            str(cfg.decimation),
-        ]))
+
+def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
+    """Write the benchmark table as CSV: REPORT_HEADER, then one row of
+    REPORT_COLUMNS cells per result, in grid order."""
+    rows = [REPORT_HEADER] + [",".join(cell(r) for _, cell in REPORT_COLUMNS) for r in results]
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 
 

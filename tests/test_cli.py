@@ -1,4 +1,6 @@
 """End-to-end tests of the command-line interface."""
+import argparse
+import csv
 import dataclasses
 import hashlib
 import importlib
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpsdenoise.cli import main
+from gpsdenoise.cli import _SCHEMA, build_parser, main
 from gpsdenoise.pipeline import DEFAULT_TRAJECTORY, build_grid, run_table
 from gpsdenoise.signal import read_series
 
@@ -246,6 +248,38 @@ def test_manifest_replays_its_run(tmp_path, small_config, command):
         assert a == b, name
 
 
+@pytest.mark.parametrize("command", ["bench", "plot-data"])
+def test_every_section_key_has_a_flag_of_its_name(command):
+    # a flag overrides the config key whose name its dest carries, so a
+    # renamed flag would silently stop overriding its key
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+    assert dests - {"seed", "out_dir", "config", "report"} == set(_SCHEMA[command])
+
+
+def test_plot_data_metrics_match_the_bench_report(tmp_path, small_config):
+    # one conventional and one improved cell, reported by both commands
+    settings = ["--config", str(small_config), "--nnsize", "8", "--spread", "10",
+                "--sse", "1e-6"]
+    assert main(["bench", *settings, "--filter", "low", "--repeats", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["band"] for row in rows] == ["none", "low"]
+    for row in rows:
+        assert main(["plot-data", *settings, "--filter", row["band"], "--component", "north",
+                     "--out-dir", str(tmp_path)]) == 0
+        tag = "conventional" if row["band"] == "none" else "improved_low"
+        metrics = json.loads((tmp_path / f"plot_{tag}_manifest.json").read_text())["metrics"]
+        assert metrics == {"output_mse": float(row["output_mse"]),
+                           "final_sse": float(row["final_sse"]),
+                           "neurons_used": int(row["neurons_used"]),
+                           "decimation": int(row["decimation"])}
+    # the improved cell trains decimated, so its final_sse is scaled to the full grid
+    assert rows[1]["decimation"] != "1"
+
+
 class TestConfigPrecedence:
     def test_flags_override_config(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -359,6 +393,11 @@ class TestExitCodes:
         ("plot-data", {"trajectory": {"n_samples": 64, "dt": 0.5, "offset": [1e308, 0, 0]},
                        "noise": {"sigma": 0}, "plot-data": {"nnsize": 4, "spread": 5}},
          "targets overflow"),
+        # every value is cast at load, also in a section the command never reads
+        ("plot-data", {"noisy": {"x": 1}, "bench": {"repeats": "five"}}, "noisy"),
+        ("plot-data", {"bench": {"repeats": "five"}}, "bench.repeats"),
+        ("bench", {"plot-data": {"nnsize": 2.5}}, "plot-data.nnsize"),
+        ("generate", {"plot-data": {"nnsize": 2.5}}, "plot-data.nnsize"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"

@@ -1,6 +1,7 @@
 """Command-line entry point: generate, bench, plot-data.
 
-_SCHEMA declares every config key once, with its cast and default. Every
+_SCHEMA declares every config key once, with its cast and default; the
+cast checks a value whether a flag or a config file gives it. Every
 setting resolves the same way: an explicit flag wins over the --config
 value, which wins over the default. Every command writes the
 resolved settings into a JSON manifest next to its outputs, under the keys
@@ -15,7 +16,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import platform
 import sys
 from pathlib import Path
@@ -54,19 +54,36 @@ _REQUIRED = object()
 
 
 class _Key(NamedTuple):
-    """One config key: the cast a config value goes through, and the value
+    """One config key: the cast a flag or config value goes through, and the value
     used when neither a flag nor the config gives one (_REQUIRED: none)."""
 
     cast: Callable
     default: object
 
 
-def _list_of(cast):
-    """Cast for a JSON list whose every item goes through `cast`."""
+def _list_of(cast, kind=None):
+    """Cast for a JSON list whose every item goes through `cast`; a list of
+    the setting `kind` must name at least one value, and none twice."""
     def read(value):
         if not isinstance(value, list):
             raise TypeError("expected a list")
-        return [cast(v) for v in value]
+        values = [cast(v) for v in value]
+        if kind is not None:
+            if not values:
+                raise ValueError(f"no {kind} given")
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ValueError(f"{kind} {v!r} is given more than once")
+        return values
+    return read
+
+
+def _one_of(kind: str, allowed: tuple):
+    """Cast for the name of a `kind`, one of `allowed`."""
+    def read(value):
+        if value not in allowed:
+            raise ValueError(f"unknown {kind} {value!r} (use {', '.join(allowed)})")
+        return value
     return read
 
 
@@ -108,15 +125,15 @@ _SCHEMA = {
                   "high_cutoff": _Key(_number, DEFAULT_BAND_SPEC.high_cutoff)},
     "noisy": _Key(_boolean, False),
     "bench": {
-        "nnsize": _Key(_list_of(_integer), (50, 100)),
-        "spread": _Key(_list_of(_number), (30.0, 50.0, 100.0)),
-        "sse": _Key(_list_of(_number), (1e-6,)),
-        "filter": _Key(_list_of(str), ("low",)),
+        "nnsize": _Key(_list_of(_integer, "nnsize"), (50, 100)),
+        "spread": _Key(_list_of(_number, "spread"), (30.0, 50.0, 100.0)),
+        "sse": _Key(_list_of(_number, "sse"), (1e-6,)),
+        "filter": _Key(_list_of(_one_of("filter", FILTERS), "filter"), ("low",)),
         "repeats": _Key(_integer, 5),
     },
     "plot-data": {
-        "component": _Key(_list_of(str), COMPONENTS),
-        "filter": _Key(str, "none"),
+        "component": _Key(_list_of(_one_of("component", COMPONENTS), "component"), COMPONENTS),
+        "filter": _Key(_one_of("filter", FILTERS), "none"),
         "nnsize": _Key(_integer, DEFAULT_TRAIN.max_neurons),
         "spread": _Key(_number, DEFAULT_TRAIN.spread),
         "sse": _Key(_number, DEFAULT_TRAIN.sse_goal),
@@ -124,12 +141,12 @@ _SCHEMA = {
 }
 
 
-def _cast(path: str, key: _Key, value):
-    """`value` through the cast of `key`; a rejected value raises a ValueError naming `path`."""
+def _cast(where: str, key: _Key, value):
+    """`value` through the cast of `key`; a rejected value raises a ValueError naming `where`."""
     try:
         return key.cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config key '{path}' has invalid value {value!r}: {exc}") from None
+        raise ValueError(f"{where} has invalid value {value!r}: {exc}") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -158,25 +175,27 @@ def _load_config(path: str | None) -> dict:
             raise ValueError(f"unknown config section '{section}' (use {', '.join(_SCHEMA)})")
         keys = _SCHEMA[section]
         if isinstance(keys, _Key):
-            cfg[section] = _cast(section, keys, value)
+            cfg[section] = _cast(f"config key '{section}'", keys, value)
             continue
         if not isinstance(value, dict):
             raise ValueError(f"config key '{section}' must be a JSON object, got {value!r}")
         for key in value:
             if key not in keys:
                 raise ValueError(f"unknown config key '{section}.{key}' (use {', '.join(keys)})")
-        cfg[section] = {key: _cast(f"{section}.{key}", keys[key], v) for key, v in value.items()}
+        cfg[section] = {key: _cast(f"config key '{section}.{key}'", keys[key], v)
+                        for key, v in value.items()}
     return cfg
 
 
 def _section(cfg: dict, name: str, args=None) -> dict:
     """Every key of section `name`: the flag of the key's name in `args`
-    when given, else the config value, else the default."""
+    when given, through the key's cast like a config value, else the config
+    value, else the default."""
     values = {}
-    for key, (_, default) in _SCHEMA[name].items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = cfg.get(name, {}).get(key, default)
+    for key, spec in _SCHEMA[name].items():
+        flag = getattr(args, key, None)
+        value = (cfg.get(name, {}).get(key, spec.default) if flag is None
+                 else _cast(f"flag --{key}", spec, flag))
         if value is _REQUIRED:
             raise ValueError(f"config key '{name}.{key}' is missing")
         values[key] = value
@@ -187,9 +206,7 @@ def _resolve_common(cfg: dict, args) -> tuple[TrajectoryConfig, NoiseConfig, Ban
     trajectory = (TrajectoryConfig(**_section(cfg, "trajectory")) if "trajectory" in cfg
                   else DEFAULT_TRAJECTORY)
     samples, dt = getattr(args, "samples", None), getattr(args, "dt", None)
-    overrides = {}
-    if samples is not None:
-        overrides["n_samples"] = samples
+    overrides = {} if samples is None else {"n_samples": samples}
     if dt is not None and dt != trajectory.dt:
         # a dt override stretches the time axis: every sinusoid keeps its
         # cycles-per-sample position, so the shape stays below Nyquist
@@ -201,13 +218,13 @@ def _resolve_common(cfg: dict, args) -> tuple[TrajectoryConfig, NoiseConfig, Ban
             for comp in trajectory.sinusoids
         )
         overrides["drift"] = tuple(d * scale for d in trajectory.drift)
-        stretched = [s.frequency for comp in overrides["sinusoids"] for s in comp]
-        if not all(map(math.isfinite, [scale, *stretched, *overrides["drift"]])):
-            raise ValueError(f"dt {dt:g} stretches the config's trajectory.dt "
-                             f"{trajectory.dt:g} by {scale:g}: the stretch factor and every "
-                             f"stretched drift and frequency must be finite")
-    if overrides:
+    try:
         trajectory = dataclasses.replace(trajectory, **overrides)
+    except ValueError as exc:
+        if "dt" not in overrides:
+            raise
+        raise ValueError(f"dt {dt:g} stretches the config's trajectory.dt "
+                         f"{trajectory.dt:g} by {scale:g}: {exc}") from None
     return (trajectory, NoiseConfig(**_section(cfg, "noise", args)),
             BandSpec(**_section(cfg, "band_spec")))
 
@@ -243,23 +260,6 @@ def _csv_list(text: str, cast) -> list:
         raise argparse.ArgumentTypeError(f"malformed list: '{text}'") from None
 
 
-def _check_distinct(kind: str, values: list) -> None:
-    """Reject a value given twice."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValueError(f"{kind} {value!r} is given more than once")
-
-
-def _check_names(kind: str, names: list, allowed: tuple) -> None:
-    """Reject an empty list, a name outside `allowed` and a name given twice."""
-    if not names:
-        raise ValueError(f"no {kind} given (use {', '.join(allowed)})")
-    for name in names:
-        if name not in allowed:
-            raise ValueError(f"unknown {kind} '{name}' (use {', '.join(allowed)})")
-    _check_distinct(kind, names)
-
-
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     trajectory, noise, _ = _resolve_common(cfg, args)
@@ -284,9 +284,6 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     trajectory, noise, band_spec = _resolve_common(cfg, args)
     bench = _section(cfg, "bench", args)
-    _check_names("filter", bench["filter"], FILTERS)
-    for key in ("nnsize", "spread", "sse"):
-        _check_distinct(key, bench[key])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,8 +304,6 @@ def cmd_plot_data(args) -> int:
     cfg = _load_config(args.config)
     trajectory, noise, band_spec = _resolve_common(cfg, args)
     plot = _section(cfg, "plot-data", args)
-    _check_names("component", plot["component"], COMPONENTS)
-    _check_names("filter", [plot["filter"]], FILTERS)
 
     config = MethodConfig(
         train=TrainConfig(sse_goal=plot["sse"], max_neurons=plot["nnsize"],
@@ -392,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--component", type=lambda s: _csv_list(s, str), default=None,
                    help="comma-separated components: north,east,alt (default all three)")
-    p.add_argument("--filter", default=None, choices=FILTERS,
-                   help="band for the improved method; none (default) = conventional")
+    p.add_argument("--filter", default=None,
+                   help="band: low, mid, high (improved method) or none (default, conventional)")
     p.add_argument("--nnsize", type=int, default=None,
                    help=f"neuron budget (default {defaults['nnsize'].default})")
     p.add_argument("--spread", type=float, default=None,

@@ -451,8 +451,11 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
                 cross = op.matmul(residual) - (residual @ B.T) @ basis_proj[:n_basis]
                 scored_sse = sse
             # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2.
-            np.einsum("ij,ij->j", cross, cross, out=scores)
-            scores /= cand_norm2
+            # A score past the float range becomes +inf, which argmax picks
+            # like any other largest score.
+            with np.errstate(over="ignore"):
+                np.einsum("ij,ij->j", cross, cross, out=scores)
+                scores /= cand_norm2
             scores[chosen] = -np.inf
         idx = int(np.argmax(scores))
         k = len(chosen)

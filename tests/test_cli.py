@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpsdenoise.cli import _SCHEMA, build_parser, main
+from gpsdenoise.cli import _SCHEMA, _load_config, _section, build_parser, main
 from gpsdenoise.pipeline import DEFAULT_TRAJECTORY, build_grid, run_table
 from gpsdenoise.signal import read_series
 
@@ -258,6 +258,29 @@ def test_every_section_key_has_a_flag_of_its_name(command):
     assert dests - {"seed", "out_dir", "config", "report"} == set(_SCHEMA[command])
 
 
+# One value per bench and plot-data key: its flag text and its config value.
+FLAG_AND_CONFIG = {
+    "bench": {"nnsize": ("6,8", [6, 8]), "spread": ("8,12.5", [8, 12.5]),
+              "sse": ("1e-6,0", [1e-6, 0]), "filter": ("none,mid", ["none", "mid"]),
+              "repeats": ("3", 3)},
+    "plot-data": {"component": ("east,north", ["east", "north"]), "filter": ("high", "high"),
+                  "nnsize": ("7", 7), "spread": ("2.5", 2.5), "sse": ("0.001", 1e-3)},
+}
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in FLAG_AND_CONFIG for k in _SCHEMA[c]])
+def test_a_flag_resolves_like_its_config_value(tmp_path, command, key):
+    text, value = FLAG_AND_CONFIG[command][key]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({command: {key: value}}))
+    parse = build_parser().parse_args
+    from_flag = _section({}, command, parse([command, f"--{key}", text]))
+    from_config = _section(_load_config(str(path)), command, parse([command]))
+    assert from_flag[key] == value
+    # repr tells an int from a float and a list from a tuple
+    assert repr(from_flag) == repr(from_config)
+
+
 def test_plot_data_metrics_match_the_bench_report(tmp_path, small_config):
     # one conventional and one improved cell, reported by both commands
     settings = ["--config", str(small_config), "--nnsize", "8", "--spread", "10",
@@ -398,6 +421,11 @@ class TestExitCodes:
         ("plot-data", {"bench": {"repeats": "five"}}, "bench.repeats"),
         ("bench", {"plot-data": {"nnsize": 2.5}}, "plot-data.nnsize"),
         ("generate", {"plot-data": {"nnsize": 2.5}}, "plot-data.nnsize"),
+        # a name, an empty list and a repeat are checked at load too
+        ("bench", {"plot-data": {"filter": "ultra"}}, "plot-data.filter"),
+        ("generate", {"plot-data": {"component": ["up"]}}, "plot-data.component"),
+        ("plot-data", {"bench": {"filter": ["low", "low"]}}, "bench.filter"),
+        ("generate", {"bench": {"nnsize": []}}, "bench.nnsize"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -452,6 +480,7 @@ class TestExitCodes:
         (["generate", "--samples", "8", "--dt", "1e308"], "(n_samples - 1) * dt"),
         # the noise draw itself leaves the float range
         (["generate", "--noisy", "--sigma", "1e308"], "sigma 1e+308"),
+        (["plot-data", "--filter", "ultra"], "filter"),
     ])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, small_config, argv, word):
         rc = main(argv + ["--config", str(small_config), "--out-dir", str(tmp_path)])
@@ -462,10 +491,9 @@ class TestExitCodes:
         assert not list(tmp_path.glob("plot_*"))
 
     @pytest.mark.parametrize("argv", [
-        ["plot-data", "--filter", "ultra"],
         ["bench", "--nnsize", "8,abc"],
         [],
-    ], ids=["bad-choice", "malformed-list", "no-subcommand"])
+    ], ids=["malformed-list", "no-subcommand"])
     def test_parser_error_is_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

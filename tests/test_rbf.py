@@ -366,6 +366,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="targets overflow"):
             train(np.arange(64.0)[:, None], Y, TrainConfig(0.0, 5, 2.0))
 
+    def test_targets_whose_scores_overflow_train_without_warning(self):
+        # A candidate on the 1e-300 norm floor scores past the float range
+        # here, and pytest makes an overflow warning an error. The picks are
+        # those of the same targets at 1e18, where no score overflows.
+        z = np.random.default_rng(0).normal(0.0, 1.0, (64, 1))
+        _, trace = train(np.arange(64.0)[:, None], z * 1e19, TrainConfig(0.0, 5, 2.0))
+        assert trace.selected_indices == [47, 13, 42, 6, 9]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(sse_goal=-1.0, max_neurons=5, spread=1.0)
@@ -528,6 +536,15 @@ class TestOrthogonalLeastSquares:
         _, fresh = train(X, Y, cfg)
         assert trace.selected_indices == fresh.selected_indices
         assert np.array_equal(trace.sse_history, fresh.sse_history)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("spread", [30.0, 50.0, 100.0])
+    def test_network_delivers_the_traced_sse(self, spread):
+        # the conventional Table-1 cells: default noisy signal, budget 100, goal 1e-6
+        X, Y = _default_problem()
+        net, trace = train(X, Y, TrainConfig(1e-6, 100, spread))
+        sse = float(np.sum((forward(net, X) - Y) ** 2))
+        assert sse == pytest.approx(trace.sse_history[-1], rel=1e-9)
 
 
 def _grid(n, dt=0.1):

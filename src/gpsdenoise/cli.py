@@ -44,7 +44,6 @@ from .signal import (
     NoiseConfig,
     Sinusoid,
     TrajectoryConfig,
-    check_dt,
     generate_trajectory,
     write_series,
 )
@@ -205,26 +204,9 @@ def _section(cfg: dict, name: str, args=None) -> dict:
 def _resolve_common(cfg: dict, args) -> tuple[TrajectoryConfig, NoiseConfig, BandSpec]:
     trajectory = (TrajectoryConfig(**_section(cfg, "trajectory")) if "trajectory" in cfg
                   else DEFAULT_TRAJECTORY)
-    samples, dt = getattr(args, "samples", None), getattr(args, "dt", None)
-    overrides = {} if samples is None else {"n_samples": samples}
-    if dt is not None and dt != trajectory.dt:
-        # a dt override stretches the time axis: every sinusoid keeps its
-        # cycles-per-sample position, so the shape stays below Nyquist
-        check_dt(dt)
-        scale = trajectory.dt / dt
-        overrides["dt"] = dt
-        overrides["sinusoids"] = tuple(
-            tuple(Sinusoid(s.amplitude, s.frequency * scale, s.phase) for s in comp)
-            for comp in trajectory.sinusoids
-        )
-        overrides["drift"] = tuple(d * scale for d in trajectory.drift)
-    try:
-        trajectory = dataclasses.replace(trajectory, **overrides)
-    except ValueError as exc:
-        if "dt" not in overrides:
-            raise
-        raise ValueError(f"dt {dt:g} stretches the config's trajectory.dt "
-                         f"{trajectory.dt:g} by {scale:g}: {exc}") from None
+    samples = getattr(args, "samples", None)
+    if samples is not None:
+        trajectory = dataclasses.replace(trajectory, n_samples=samples)
     return (trajectory, NoiseConfig(**_section(cfg, "noise", args)),
             BandSpec(**_section(cfg, "band_spec")))
 
@@ -360,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic position series CSV")
     add_common(g)
     g.add_argument("--samples", type=int, default=None, help="number of samples")
-    g.add_argument("--dt", type=float, default=None, help="sample step in seconds")
     g.add_argument("--sigma", type=float, default=None, help="noise sigma (with --noisy)")
     g.add_argument("--noisy", action="store_true", default=None,
                    help="add seeded noise to the output (also set by a config's \"noisy\": true)")

@@ -373,12 +373,9 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
 
 def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
                   op: DenseKernel | ToeplitzKernel,
-                  start: float | None = None) -> tuple[RbfNetwork, TrainTrace]:
+                  start: float) -> tuple[RbfNetwork, TrainTrace]:
     """train() on validated (n, d) inputs and (n, m) targets through kernel
-    operator op; the stage clock counts from the perf_counter() value start,
-    by default from this call."""
-    if start is None:
-        start = time.perf_counter()
+    operator op; the stage clock counts from the perf_counter() value start."""
     n = X.shape[0]
     m = Y.shape[1]
 

@@ -54,7 +54,7 @@ def _strip_timing(report_text):
 class TestGenerate:
     def test_row_count(self, tmp_path):
         out = tmp_path / "s.csv"
-        rc = main(["generate", "--samples", "64", "--dt", "1", "--out", str(out),
+        rc = main(["generate", "--samples", "64", "--out", str(out),
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 65
@@ -426,6 +426,10 @@ class TestExitCodes:
         ("generate", {"plot-data": {"component": ["up"]}}, "plot-data.component"),
         ("plot-data", {"bench": {"filter": ["low", "low"]}}, "bench.filter"),
         ("generate", {"bench": {"nnsize": []}}, "bench.nnsize"),
+        ("generate", {"trajectory": {"n_samples": 8, "dt": float("nan")}}, "dt"),
+        ("generate", {"trajectory": {"n_samples": 8, "dt": 5e-324}}, "dt"),
+        # (8 - 1) * 1e308 overflows the time axis
+        ("generate", {"trajectory": {"n_samples": 8, "dt": 1e308}}, "(n_samples - 1) * dt"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "config.json"
@@ -435,20 +439,6 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("gpsdenoise: error:") and key in err[0]
-
-    @pytest.mark.filterwarnings("error")
-    def test_dt_override_that_stretches_past_float_range_exits_two(self, tmp_path, capsys):
-        # 1e300 / 1e-10 overflows to inf, and so would the stretched drift
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(
-            {"trajectory": {"n_samples": 8, "dt": 1e300, "drift": [1, 0, 0]}}))
-        rc = main(["generate", "--config", str(path), "--dt", "1e-10",
-                   "--out-dir", str(tmp_path)])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("gpsdenoise: error: dt 1e-10") and "trajectory.dt" in err[0]
-        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv, word", [
         (["plot-data", "--component", ""], "component"),
@@ -466,18 +456,17 @@ class TestExitCodes:
         (["generate", "--sigma", "nan"], "sigma"),
         (["generate", "--noisy", "--sigma", "nan"], "sigma"),
         (["generate", "--sigma", "inf"], "sigma"),
-        (["generate", "--dt", "nan"], "dt"),
-        (["generate", "--dt", "inf"], "dt"),
-        (["generate", "--dt", "1e-310"], "dt"),
-        (["generate", "--dt", "5e-324"], "dt"),
+        (["generate", "--samples", "0"], "n_samples"),
+        (["bench", "--repeats", "0"], "repeats"),
+        (["plot-data", "--nnsize", "0"], "max_neurons"),
+        (["bench", "--sse", "nan"], "sse_goal"),
         (["plot-data", "--component", "north,north"], "component 'north' is given more than once"),
         (["bench", "--filter", "low,low"], "filter 'low' is given more than once"),
         (["bench", "--nnsize", "4,4", "--spread", "5,5", "--sse", "0"],
          "nnsize 4 is given more than once"),
         (["bench", "--spread", "5,5"], "spread 5.0 is given more than once"),
         (["bench", "--sse", "0,1e-6,0"], "sse 0.0 is given more than once"),
-        # (8 - 1) * 1e308 overflows the time axis
-        (["generate", "--samples", "8", "--dt", "1e308"], "(n_samples - 1) * dt"),
+        (["generate", "--seed", "-3"], "seed"),
         # the noise draw itself leaves the float range
         (["generate", "--noisy", "--sigma", "1e308"], "sigma 1e+308"),
         (["plot-data", "--filter", "ultra"], "filter"),
@@ -490,16 +479,19 @@ class TestExitCodes:
         assert err[0].startswith("gpsdenoise: error:") and word in err[0]
         assert not list(tmp_path.glob("plot_*"))
 
-    @pytest.mark.parametrize("argv", [
-        ["bench", "--nnsize", "8,abc"],
-        [],
-    ], ids=["malformed-list", "no-subcommand"])
-    def test_parser_error_is_one_line(self, capsys, argv):
+    @pytest.mark.parametrize("argv, tail", [
+        (["bench", "--nnsize", "8,abc"], "malformed list: '8,abc'"),
+        ([], "the following arguments are required: command"),
+        # generate has no --dt: a config's trajectory.dt sets the sample step
+        (["generate", "--dt", "1"], "unrecognized arguments: --dt 1"),
+    ], ids=["malformed-list", "no-subcommand", "removed-dt-flag"])
+    def test_parser_error_is_one_line(self, capsys, argv, tail):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gpsdenoise: error:")
+        assert err[0].endswith(tail)
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

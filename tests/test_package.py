@@ -1,4 +1,5 @@
-"""Tests of the package's own surface: `import gpsdenoise` gives only its version."""
+"""Tests of the package's own surface: `import gpsdenoise` gives only its version,
+and the README's library example runs as written."""
 import os
 import re
 import subprocess
@@ -27,3 +28,14 @@ def test_version_matches_the_project_metadata():
     project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
     version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE).group(1)
     assert gpsdenoise.__version__ == version
+
+
+def test_readme_library_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == ["conventional", "improved"]
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 3

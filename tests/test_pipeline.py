@@ -212,6 +212,32 @@ class TestDecimation:
         assert config.decimation > 1
         assert result.output_mse == pytest.approx(full_rate, rel=0.01)
 
+    # The improved Table-1 trainings on the decimated low band, pinned so a
+    # change to the trainer or the decimation rule shows which picks it moves.
+    # Every one stops on its goal with no in-span stage.
+    TABLE1_PICKS = {
+        (50, 30.0): [69, 50, 88, 33, 105, 57, 78, 16, 47, 94, 117, 21, 82, 35, 20, 124, 63,
+                     13, 89, 40, 127, 126, 4, 104, 1, 68, 125],
+        (50, 50.0): [69, 44, 94, 20, 2, 47, 83, 127, 45, 126, 125, 124, 56, 29, 88, 13, 123],
+        (50, 100.0): [69, 39, 96, 0, 1, 124, 2, 3, 127, 4, 6, 11],
+        (100, 30.0): [137, 175, 99, 210, 65, 113, 154, 31, 94, 189, 234, 40, 160, 75, 39, 247,
+                      123, 29, 176, 255, 252, 16, 76, 192, 8, 254, 253],
+        (100, 50.0): [137, 188, 87, 40, 174, 219, 119, 49, 173, 0, 19, 169, 240, 1, 114, 2, 255,
+                      3],
+        (100, 100.0): [138, 78, 192, 0, 1, 248, 2, 11, 255, 254, 16],
+    }
+
+    @pytest.mark.parametrize("config", [
+        c for c in build_grid([50, 100], [30.0, 50.0, 100.0], [1e-6], ["low"])
+        if c.method == "improved"
+    ], ids=lambda c: f"{c.train.max_neurons}-{c.train.spread:g}")
+    def test_table_one_improved_picks(self, config):
+        trace = run_method(config).trace
+        assert trace.stop_reason == "sse_goal"
+        assert not any(trace.in_span)
+        assert trace.selected_indices == self.TABLE1_PICKS[
+            config.train.max_neurons, config.train.spread]
+
 
 class TestRunTable:
     def test_single_pair_contract(self):

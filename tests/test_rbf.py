@@ -672,7 +672,8 @@ class TestKernelOperator:
         assert isinstance(kernel_operator(X, cfg.spread), DenseKernel)
         net, trace = train(X, Y, cfg)
         assert trace.selected_indices == self.DENSE_CASES[name]
-        oracle_net, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, cfg.spread))
+        oracle_net, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, cfg.spread),
+                                           time.perf_counter())
         assert np.array_equal(trace.sse_history, oracle.sse_history)
         assert np.array_equal(net.output_weights, oracle_net.output_weights)
         assert np.array_equal(net.output_bias, oracle_net.output_bias)
@@ -683,8 +684,8 @@ class TestKernelOperator:
         X = _grid(1000)
         Y = _smooth_targets(X[:, 0], seed=5)
         cfg = TrainConfig(sse_goal=1e-6, max_neurons=30, spread=spread)
-        _, fast = _greedy_train(X, Y, cfg, ToeplitzKernel(X, spread))
-        _, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, spread))
+        _, fast = _greedy_train(X, Y, cfg, ToeplitzKernel(X, spread), time.perf_counter())
+        _, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, spread), time.perf_counter())
         assert fast.selected_indices == oracle.selected_indices
         assert fast.stop_reason == oracle.stop_reason
         assert _rel_dev(fast.sse_history, oracle.sse_history) <= 1e-10
@@ -699,8 +700,8 @@ class TestKernelOperator:
         noisy = add_noise(generate_trajectory(DEFAULT_TRAJECTORY), DEFAULT_NOISE)
         X, Y = noisy.timestamps[:, None], noisy.samples
         cfg = TrainConfig(sse_goal=1e-6, max_neurons=50, spread=30.0)
-        _, fast = _greedy_train(X, Y, cfg, ToeplitzKernel(X, cfg.spread))
-        _, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, cfg.spread))
+        _, fast = _greedy_train(X, Y, cfg, ToeplitzKernel(X, cfg.spread), time.perf_counter())
+        _, oracle = _greedy_train(X, Y, cfg, DenseKernel(X, cfg.spread), time.perf_counter())
         assert fast.stop_reason == oracle.stop_reason
         same = 0
         while (same < len(oracle.selected_indices)

@@ -94,17 +94,17 @@ class MethodConfig:
         """The factor M by which the run's training grid is decimated.
 
         M is the largest power of two such that the band's top frequency
-        (low_cutoff for "low", high_cutoff for "mid") is at most
-        1 / (4 M dt), half the Nyquist frequency of the decimated grid, and
-        the decimated grid keeps ceil(n / M) >= 2 max_neurons samples, so
-        the neuron budget stays reachable. The "high" band and "none" reach
-        the Nyquist frequency, so M = 1, as it is when no larger M keeps
-        enough samples.
+        (the upper of BandSpec.edges) is at most 1 / (4 M dt), half the
+        Nyquist frequency of the decimated grid, and the decimated grid
+        keeps ceil(n / M) >= 2 max_neurons samples, so the neuron budget
+        stays reachable. The "high" band's top is infinite and "none" has
+        no band, so both keep M = 1, as does a run for which no larger M
+        keeps enough samples.
         """
-        top = {"low": self.band_spec.low_cutoff, "mid": self.band_spec.high_cutoff}.get(self.band)
+        if self.band == "none":
+            return 1
+        top = self.band_spec.edges(self.band)[1]
         m = 1
-        if top is None:
-            return m
         n, dt = self.trajectory.n_samples, self.trajectory.dt
         # double M while 2M still meets both conditions
         while top <= 1.0 / (4 * 2 * m * dt) and -(-n // (2 * m)) >= 2 * self.train.max_neurons:

@@ -95,13 +95,6 @@ class PositionSeries:
         return 0.5 / self.dt
 
 
-def check_dt(dt: float) -> None:
-    """Reject a sample step that is not positive, or whose Nyquist frequency is not finite."""
-    if not (0 < dt < math.inf and 0.5 / dt < math.inf):
-        raise ValueError(f"dt must be positive and finite with a finite Nyquist frequency "
-                         f"0.5 / dt, got {dt}")
-
-
 class Sinusoid(NamedTuple):
     """One spectral line of the synthetic trajectory."""
 
@@ -130,7 +123,9 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-        check_dt(self.dt)
+        if not (0 < self.dt < math.inf and 0.5 / self.dt < math.inf):
+            raise ValueError(f"dt must be positive and finite with a finite Nyquist frequency "
+                             f"0.5 / dt, got {self.dt}")
         sinusoids = tuple(tuple(s) for s in self.sinusoids)
         if len(sinusoids) != 3:
             raise ValueError("sinusoids must have one sequence per component (3)")

@@ -1,13 +1,10 @@
 """Tests for the brick-wall frequency-band decomposition."""
+import math
+
 import numpy as np
 import pytest
 
-from gpsdenoise.bandfilter import (
-    BandComponent,
-    BandSpec,
-    decompose,
-    select_band,
-)
+from gpsdenoise.bandfilter import BandSpec, decompose, select_band
 from gpsdenoise.signal import PositionSeries
 
 
@@ -43,6 +40,11 @@ class TestBandSpec:
         s = PositionSeries([0.0], [[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
             decompose(s, BandSpec(0.1, 0.2))
+
+    def test_edges_cut_the_line_at_both_cutoffs_in_band_order(self):
+        spec = BandSpec(0.1, 0.2)
+        assert [spec.edges(band) for band in ("low", "mid", "high")] == [
+            (-math.inf, 0.1), (0.1, 0.2), (0.2, math.inf)]
 
 
 class TestDecompose:
@@ -106,27 +108,29 @@ class TestDecompose:
     def test_eight_point_dft_oracle(self):
         # 8 samples at dt=1: rfft bins at 0, 0.125, 0.25, 0.375, 0.5 Hz.
         # With cutoffs (0.15, 0.3): low gets bins {0, 1}, mid gets bin {2},
-        # high gets bins {3, 4}. Verified against an explicit O(n^2) DFT.
+        # high gets bins {3, 4}. With cutoffs (0.125, 0.25) two bins sit
+        # exactly on a cutoff and go to the lower band, so the split is the
+        # same. Verified against an explicit O(n^2) DFT.
         x = np.array([3.0, 1.0, -2.0, 4.0, 0.5, -1.5, 2.5, -0.5])
         s = _series(np.column_stack([x, np.zeros(8), np.zeros(8)]))
-        spec = BandSpec(0.15, 0.3)
         n = 8
         k = np.arange(n)
         dft = np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in range(n)])
-        freqs = np.minimum(k, n - k) / n  # |f| of each full-spectrum bin
+        bins = np.minimum(k, n - k)  # rfft bin of each full-spectrum bin
         expected = {}
         for band, mask in (
-            ("low", freqs <= 0.15),
-            ("mid", (freqs > 0.15) & (freqs <= 0.3)),
-            ("high", freqs > 0.3),
+            ("low", bins <= 1),
+            ("mid", bins == 2),
+            ("high", bins >= 3),
         ):
             back = np.array(
                 [np.sum(dft[mask] * np.exp(2j * np.pi * k[mask] * i / n)) for i in range(n)]
             ) / n
             expected[band] = back.real
-        parts = decompose(s, spec)
-        for band, comp in zip(("low", "mid", "high"), parts):
-            assert np.max(np.abs(comp.series.samples[:, 0] - expected[band])) < 1e-9
+        for spec in (BandSpec(0.15, 0.3), BandSpec(0.125, 0.25)):
+            parts = decompose(s, spec)
+            for band, comp in zip(("low", "mid", "high"), parts):
+                assert np.max(np.abs(comp.series.samples[:, 0] - expected[band])) < 1e-9, spec
 
 
 class TestSelectBand:
@@ -137,7 +141,6 @@ class TestSelectBand:
         for band, part in zip(("low", "mid", "high"), parts):
             sel = select_band(s, band, spec)
             assert np.array_equal(sel.series.samples, part.series.samples)
-            assert sel.band == band
 
     def test_idempotent(self):
         s = _random_series(21, 80)
@@ -151,10 +154,3 @@ class TestSelectBand:
         s = _random_series(22, 16)
         with pytest.raises(ValueError, match="band"):
             select_band(s, "ultra", BandSpec(0.1, 0.2))
-
-
-class TestComponentIO:
-    def test_invalid_band_component(self):
-        s = _random_series(32, 8)
-        with pytest.raises(ValueError, match="band"):
-            BandComponent("weird", BandSpec(0.1, 0.2), s)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gpsdenoise import pipeline
-from gpsdenoise.bandfilter import BandSpec, decompose, select_band
+from gpsdenoise.bandfilter import BandSpec, select_band
 from gpsdenoise.pipeline import (
     DEFAULT_BAND_SPEC,
     DEFAULT_NOISE,
@@ -172,7 +172,7 @@ class TestDecimation:
         config = _default(band, max_neurons)
         m = config.decimation
         noisy = add_noise(generate_trajectory(config.trajectory), config.noise)
-        samples = getattr(decompose(noisy, DEFAULT_BAND_SPEC), band).series.samples
+        samples = select_band(noisy, band, DEFAULT_BAND_SPEC).series.samples
         scale = np.abs(samples).max()
         n = samples.shape[0]
         assert np.abs(_fft_interpolate(samples[::m], n) - samples).max() <= 1e-12 * scale
@@ -237,6 +237,36 @@ class TestDecimation:
         assert not any(trace.in_span)
         assert trace.selected_indices == self.TABLE1_PICKS[
             config.train.max_neurons, config.train.spread]
+
+
+# A drift of the kind every real GPS track has; the default signal has none.
+DRIFT = (0.05, -0.02, 0.01)  # meters/second
+
+
+class TestDrift:
+    """A drift is slow, so it belongs to the low band and must leave the
+    mid and high bands, and the fits to them, as they are without it."""
+
+    @pytest.mark.parametrize("band, max_neurons, spread, sse_goal", [
+        ("low", 100, 50.0, 1e-6),
+        pytest.param("mid", 200, 5.0, 0.0, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 3")),
+    ])
+    def test_drift_leaves_the_band_fit_within_twice_its_mse(self, band, max_neurons, spread,
+                                                            sse_goal):
+        config = _default(band, max_neurons, spread=spread, sse_goal=sse_goal)
+        drifting = replace(config, trajectory=replace(config.trajectory, drift=DRIFT))
+        assert run_method(drifting).output_mse <= 2.0 * run_method(config).output_mse
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_drift_leaves_the_clean_high_band_within_one_percent(self):
+        def high_band(trajectory):
+            clean = generate_trajectory(trajectory)
+            return select_band(clean, "high", DEFAULT_BAND_SPEC).series.samples
+
+        band = high_band(DEFAULT_TRAJECTORY)
+        change = high_band(replace(DEFAULT_TRAJECTORY, drift=DRIFT)) - band
+        assert np.mean(change ** 2) <= 0.01 * np.mean(band ** 2)
 
 
 class TestRunTable:

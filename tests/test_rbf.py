@@ -498,30 +498,50 @@ class TestOrthogonalLeastSquares:
             if band == "low":  # its SSE falls far enough to rescore on the way
                 assert expected.count(Y.shape[1]) > 1
 
-    # Picks of the default signal's conventional run (nnsize 100, spread 50)
-    # and improved/low run (nnsize 50, spread 30) at every stage that opens
-    # a basis row, pinned before the trainer kept its state as rows. The
-    # in-span picks are left out: they tie on a zero score.
+    # Picks of the default signal's conventional runs (the Table-1 cells:
+    # nnsize 100, spreads 30, 50 and 100) and improved/low run (nnsize 50,
+    # spread 30) at every stage that opens a basis row, pinned before the
+    # trainer kept its state as rows (spread 50 and low) and before a change
+    # to its rank rule (spreads 30 and 100). The in-span picks are left out:
+    # they tie on a zero score.
     OPENING_PICKS = {
-        None: ("max_neurons", [
+        (None, 30.0): ("max_neurons", [
+            2233, 1603, 2839, 1056, 3392, 0, 1, 4095, 4094, 4093, 4092, 4082,
+            4062, 4031, 3992, 3948, 3906, 3867, 3814, 3750, 3688, 3632, 3563,
+            3481, 3370, 3314, 3251, 3185, 3118, 3051, 2973, 2831, 2785, 2727,
+            2664, 2599, 2531, 2458, 2381, 2242, 2192, 2135, 2074, 2009, 1944,
+            1875, 1809, 1732, 1594, 1546, 1488, 1426, 1354, 1280, 1205, 1103,
+            1016, 952, 3, 877, 798, 705, 607, 51, 411, 242, 319]),
+        (None, 50.0): ("max_neurons", [
             2210, 1376, 3017, 0, 3646, 1, 2, 4, 14, 40, 85, 145, 191, 246, 322,
             399, 459, 550, 669, 769, 879, 987, 1088, 1382, 1446, 1545, 1645,
             1747, 1863, 2007, 2230, 2290, 2425, 2561, 2703, 2868, 3066, 3181,
             3335, 3575, 3755, 3890, 4049, 4093]),
-        "low": ("sse_goal", [
+        (None, 100.0): ("max_neurons", [
+            2199, 1505, 2743, 0, 3874, 1, 2, 17, 72, 170, 327, 529, 1508, 1593,
+            1837, 2339, 2824, 3880, 4073, 3469]),
+        ("low", 30.0): ("sse_goal", [
             2200, 1587, 2816, 1026, 3366, 2589, 1922, 2898, 488, 1358, 3763,
             629, 1826, 3072, 589, 4001, 2462, 191, 1315, 4095, 3876, 791, 238,
             4094, 4093, 4073, 3984, 3864, 3754, 3700, 3626, 3364, 3319, 3067]),
     }
 
     @pytest.mark.parametrize("band, cfg", [(None, TrainConfig(1e-6, 100, 50.0)),
-                                           ("low", TrainConfig(1e-6, 50, 30.0))],
-                             ids=["conventional", "improved-low"])
+                                           ("low", TrainConfig(1e-6, 50, 30.0)),
+                                           (None, TrainConfig(1e-6, 100, 30.0)),
+                                           (None, TrainConfig(1e-6, 100, 100.0))],
+                             ids=["conventional", "improved-low",
+                                  "conventional-30", "conventional-100"])
     def test_default_signal_opening_picks_unchanged(self, band, cfg):
         X, Y = _default_problem(band)
         _, trace = train(X, Y, cfg)
         opened = [i for i, spans in zip(trace.selected_indices, trace.in_span) if not spans]
-        assert (trace.stop_reason, opened) == self.OPENING_PICKS[band]
+        assert (trace.stop_reason, opened) == self.OPENING_PICKS[band, cfg.spread]
+        # every in-span stage comes after the last opening stage, and the
+        # SSE stays flat from there
+        k = len(opened)
+        assert not any(trace.in_span[:k])
+        assert np.all(np.asarray(trace.sse_history[k:]) == trace.sse_history[k])
 
     @pytest.mark.parametrize("seed", [1234, 7])
     def test_updated_scores_pick_like_fresh_ones(self, monkeypatch, seed):

@@ -429,19 +429,15 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     in_span: list[bool] = []
     clock = [time.perf_counter() - start]
     # Scratch rows for a new direction's updates: the (m, n) outer products
-    # that leave the residual and cross, and the (n,) squares of K q.
+    # that leave the residual and cross.
     outer = np.empty((m, n))
-    kq2 = np.empty(n)
     spans = False
 
     while (reason := stop_reason(sse, len(chosen), n, config)) is None:
         B = basis[:n_basis]
-        if spans:
-            # The last center opened no direction: residual, cross, cand_norm2
-            # and the SSE are as they were, so no fresh pass is due and every
-            # score stands but the new pick's.
-            scores[chosen[-1]] = -np.inf
-        else:
+        # After a center that opened no direction, residual, cross, cand_norm2
+        # and the SSE are as they were, so every score stands but the new pick's.
+        if not spans:
             if sse < _RESCORE_FRACTION * scored_sse:
                 # c_perp . residual for every candidate c, with c_perp the part
                 # of c orthogonal to the current design span.
@@ -453,7 +449,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             with np.errstate(over="ignore"):
                 np.einsum("ij,ij->j", cross, cross, out=scores)
                 scores /= cand_norm2
-            scores[chosen] = -np.inf
+        scores[chosen] = -np.inf
         idx = int(np.argmax(scores))
         k = len(chosen)
         chosen.append(idx)
@@ -483,9 +479,9 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             residual -= np.multiply.outer(coef[n_basis], q, out=outer)
             kq = op.matmul(q)
             basis_proj[n_basis] = kq
-            cand_norm2 -= np.multiply(kq, kq, out=kq2)
-            np.maximum(cand_norm2, 1e-300, out=cand_norm2)
             cross -= np.multiply.outer(coef[n_basis], kq, out=outer)
+            cand_norm2 -= np.multiply(kq, kq, out=kq)
+            np.maximum(cand_norm2, 1e-300, out=cand_norm2)
             n_basis += 1
             sse = float(np.vdot(residual, residual))
         sse_history.append(sse)

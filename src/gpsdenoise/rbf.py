@@ -321,19 +321,19 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     then repeatedly promotes the not-yet-used training input whose kernel
     column most reduces the summed squared error (ties broken by lowest
     index). The candidate reductions are computed exactly from an
-    orthonormal basis Q of the current design, its projections on every
-    candidate column and the candidates' products with the residual, which
-    costs O(n*k) memory for k neurons. Each insertion extends Q and the
-    triangular factor R of the same QR factorisation and projects the new
-    direction q out of the residual, so the error drop of every stage is
-    the score that chose it; one product of the candidate kernel matrix
-    with q then updates both the projections and the residual products. A
-    center in the span of the earlier design costs no product, and the
-    stage after it reuses the scores it left unchanged. The residual
+    orthonormal basis Q of the current design, the squared norms of the
+    candidate columns' parts orthogonal to it and the candidates' products
+    with the residual; Q costs O(n*k) memory for k neurons. Each insertion
+    extends Q and the triangular factor R of the same QR factorisation and
+    projects the new direction q out of the residual, so the error drop of
+    every stage is the score that chose it; one product of the candidate
+    kernel matrix with q then updates both the norms and the residual
+    products. A center in the span of the earlier design costs no product,
+    and the stage after it reuses the scores it left unchanged. The residual
     and its products are held as one row of length n per output column; the
-    products (an (m, n) block for m output columns) are computed afresh for
-    the first stage and again only once the error has fallen 1e4-fold since
-    they last were.
+    products (an (m, n) block for m output columns) are computed afresh, as
+    the product of the residual's part orthogonal to Q, for the first stage
+    and again only once the error has fallen 1e4-fold since they last were.
     Only the final output layer is solved, once, through R on at most k+1
     rows instead of n; stage_network() solves earlier stages the same way.
 
@@ -398,22 +398,20 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     # One QR factorisation of the design, grown a column at a time (orthogonal
     # least squares): the orthonormal basis Q (rows of `basis`, the bias
     # direction first) scores the candidates, and R with coef = Q.T @ Yc
-    # solves the output layer. `basis_proj` holds the basis projections
-    # K @ q of every candidate column and the rows of `cross` the candidate
-    # products K @ residual, so each candidate's exact SSE reduction is one
-    # dot product away. A new direction q removes coef q from the residual,
-    # so K @ q, the one kernel product an accepted center costs, both
-    # extends basis_proj and brings cross up to date (Chen, Cowan & Grant,
-    # IEEE Trans. Neural Networks 2(2), 1991).
+    # solves the output layer. The rows of `cross` hold the candidate
+    # products K @ residual and `cand_norm2` the squared norms of the
+    # candidates' parts orthogonal to the basis, so each candidate's exact
+    # SSE reduction is one division away. A new direction q removes coef q
+    # from the residual and (q . c) q from every candidate c's orthogonal
+    # part, so K @ q, which holds q . c for every c and is the one kernel
+    # product an accepted center costs, brings both up to date (Chen, Cowan
+    # & Grant, IEEE Trans. Neural Networks 2(2), 1991).
     max_centers = min(config.max_neurons, n)
     basis = np.empty((max_centers + 1, n))
-    basis_proj = np.empty((max_centers + 1, n))
     basis[0] = 1.0 / np.sqrt(n)
-    basis_proj[0] = op.constant_projection()
     n_basis = 1
-    # Squared norms of the candidates' parts orthogonal to the basis,
-    # floored where rounding leaves nothing of a column.
-    cand_norm2 = op.column_norms2() - basis_proj[0] ** 2
+    # Floored where rounding leaves nothing of a column.
+    cand_norm2 = op.column_norms2() - op.constant_projection() ** 2
     np.maximum(cand_norm2, 1e-300, out=cand_norm2)
     scored_sse = np.inf  # SSE when cross was last computed from the residual; none yet
     scores = np.empty(n)
@@ -440,8 +438,9 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         if not spans:
             if sse < _RESCORE_FRACTION * scored_sse:
                 # c_perp . residual for every candidate c, with c_perp the part
-                # of c orthogonal to the current design span.
-                cross = op.matmul(residual) - (residual @ B.T) @ basis_proj[:n_basis]
+                # of c orthogonal to the current design span: c . r_perp, with
+                # r_perp the residual's part orthogonal to the basis.
+                cross = op.matmul(residual - (residual @ B.T) @ B)
                 scored_sse = sse
             # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2.
             # A score past the float range becomes +inf, which argmax picks
@@ -456,8 +455,6 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
 
         # Orthogonalise the accepted column against the basis in two
         # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
-        # The column is evaluated afresh rather than read from basis_proj,
-        # which carries the rounding of the scoring products.
         column = op.column(idx)
         r = B @ column
         v = column - B.T @ r
@@ -478,7 +475,6 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             np.matmul(residual, q, out=coef[n_basis])
             residual -= np.multiply.outer(coef[n_basis], q, out=outer)
             kq = op.matmul(q)
-            basis_proj[n_basis] = kq
             cross -= np.multiply.outer(coef[n_basis], kq, out=outer)
             cand_norm2 -= np.multiply(kq, kq, out=kq)
             np.maximum(cand_norm2, 1e-300, out=cand_norm2)

@@ -424,6 +424,11 @@ def _default_problem(band=None, seed=None):
     return series.timestamps[:, None], series.samples
 
 
+def _opening_picks(trace):
+    """The picks of the stages that opened a basis row, in order."""
+    return [i for i, spans in zip(trace.selected_indices, trace.in_span) if not spans]
+
+
 class TestOrthogonalLeastSquares:
     """The incrementally factorised trainer against dense n-row oracles."""
 
@@ -535,7 +540,7 @@ class TestOrthogonalLeastSquares:
     def test_default_signal_opening_picks_unchanged(self, band, cfg):
         X, Y = _default_problem(band)
         _, trace = train(X, Y, cfg)
-        opened = [i for i, spans in zip(trace.selected_indices, trace.in_span) if not spans]
+        opened = _opening_picks(trace)
         assert (trace.stop_reason, opened) == self.OPENING_PICKS[band, cfg.spread]
         # every in-span stage comes after the last opening stage, and the
         # SSE stays flat from there
@@ -562,11 +567,7 @@ class TestOrthogonalLeastSquares:
         _, trace = train(X, Y, cfg)
         monkeypatch.setattr(rbf, "_RESCORE_FRACTION", 1.0)  # rescore every new direction
         _, fresh = train(X, Y, cfg)
-
-        def opened(t):
-            return [i for i, spans in zip(t.selected_indices, t.in_span) if not spans]
-
-        assert opened(trace) == opened(fresh)
+        assert _opening_picks(trace) == _opening_picks(fresh)
         assert np.array_equal(trace.sse_history, fresh.sse_history)
         if band is not None:
             assert trace.selected_indices == fresh.selected_indices

@@ -183,6 +183,11 @@ def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarra
     return np.exp(sq, out=sq)
 
 
+# forward() evaluates its inputs in row blocks whose activations hold at
+# most this many floats (1 MiB; one row when a row alone holds more).
+_FORWARD_BLOCK = 2**17
+
+
 # A grid is accepted for ToeplitzKernel when its worst deviation from the
 # straight line through its end points is at most tol = max(3e-13 * s,
 # 4 * eps * max|x|) for spread s: the larger of this fraction of the spread
@@ -283,12 +288,24 @@ def kernel_operator(X: np.ndarray, spread: float) -> DenseKernel | ToeplitzKerne
 
 def forward(net: RbfNetwork, inputs) -> np.ndarray:
     """Outputs (n, m) for inputs (n, d), d the width of net.centers even with no
-    centers; any other input shape is a ValueError."""
+    centers; any other input shape is a ValueError.
+
+    The inputs are evaluated in row blocks of at most _FORWARD_BLOCK
+    activations, so memory beyond the inputs and outputs stays bounded
+    however many inputs and centers there are.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     d = net.centers.shape[1]
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"inputs must have shape (n, {d}), the input dimension, got {x.shape}")
-    return net.output_bias + _activations(x, net.centers, net.spread) @ net.output_weights
+    out = np.empty((x.shape[0], net.output_bias.size))
+    rows = max(1, _FORWARD_BLOCK // max(1, net.n_centers))
+    for i in range(0, x.shape[0], rows):
+        # unnamed, so a block's activations are freed before the next is built
+        np.add(net.output_bias,
+               _activations(x[i:i + rows], net.centers, net.spread) @ net.output_weights,
+               out=out[i:i + rows])
+    return out
 
 
 def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

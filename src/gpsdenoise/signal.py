@@ -18,6 +18,9 @@ SERIES_HEADER = "t,north,east,alt"
 # Relative tolerance on timestamp-step uniformity.
 _STEP_RTOL = 1e-9
 
+# Rows write_csv formats and writes at a time.
+_CSV_BLOCK = 1024
+
 
 class SeriesFormatError(ValueError):
     """Raised when a series file cannot be parsed.
@@ -226,11 +229,19 @@ def mse(a: PositionSeries, b: PositionSeries) -> float:
 
 
 def write_csv(path: str | Path, header: str, columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns as CSV, each value as the exact repr of its float64."""
-    # one tolist costs far less than converting numpy scalars one at a time
-    rows = np.column_stack(columns).astype(np.float64, copy=False).tolist()
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write equal-length columns as CSV, each value as the exact repr of its float64.
+
+    Rows are formatted and written _CSV_BLOCK at a time, so the Python
+    objects of only one block are alive at once.
+    """
+    table = np.column_stack(columns).astype(np.float64, copy=False)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for i in range(0, table.shape[0], _CSV_BLOCK):
+            # one tolist costs far less than converting numpy scalars one at a
+            # time; unnamed, its rows are freed before the next block's are built
+            fh.write("\n".join([",".join(map(repr, row))
+                                for row in table[i:i + _CSV_BLOCK].tolist()]) + "\n")
 
 
 def write_series(series: PositionSeries, path: str | Path) -> None:

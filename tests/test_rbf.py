@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gpsdenoise.rbf import (
+    _FORWARD_BLOCK,
     DenseKernel,
     RbfNetwork,
     ToeplitzKernel,
@@ -131,6 +132,38 @@ class TestForward:
         got = _activations(X, C, spread)
         assert got.shape == (40, k)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("k,d", [(1, 1), (50, 1), (50, 2), (3000, 1), (_FORWARD_BLOCK + 1, 1)])
+    @pytest.mark.parametrize("blocks,extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_matches_one_product_across_blocks(self, k, d, blocks, extra):
+        # n = rows - 1, rows, rows + 1 and 2 rows + 1 inputs for the rows of
+        # one block: a call that fits one block is the single product bit
+        # for bit; past that, BLAS may round each block's product differently
+        rows = max(1, _FORWARD_BLOCK // k)
+        n = blocks * rows + extra  # no inputs at all for a one-row block less one
+        rng = np.random.default_rng(k + n + d)
+        X = rng.uniform(0.0, 10.0, (n, d))
+        net = RbfNetwork(centers=rng.uniform(0.0, 10.0, (k, d)), spread=2.0,
+                         output_weights=rng.normal(0.0, 1.0, (k, 3)),
+                         output_bias=rng.normal(0.0, 1.0, 3))
+        A = _activations(X, net.centers, net.spread)
+        expected = net.output_bias + A @ net.output_weights
+        got = forward(net, X)
+        assert got.shape == (n, 3)
+        if n * k <= _FORWARD_BLOCK:
+            assert np.array_equal(got, expected)
+        else:
+            scale = np.abs(net.output_bias) + A @ np.abs(net.output_weights)
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [0, 5, 2 * _FORWARD_BLOCK + 1])
+    def test_bias_only_blocks(self, n):
+        bias = np.array([1.5, -2.0])
+        net = RbfNetwork(centers=np.zeros((0, 1)), spread=1.0,
+                         output_weights=np.zeros((0, 2)), output_bias=bias)
+        out = forward(net, np.linspace(0.0, 1.0, n)[:, None])
+        assert out.shape == (n, 2)
+        assert np.array_equal(out, np.tile(bias, (n, 1)))
 
     def test_batch_matches_single(self):
         # BLAS may order the reductions differently for a batch, so compare
@@ -783,6 +816,23 @@ class TestKernelOperator:
             tracemalloc.stop()
         assert net.n_centers == cfg.max_neurons
         assert peak < 1.6 * basis_bytes
+
+    def test_forward_holds_one_row_block(self):
+        # 2000 centers on the default 4096 inputs: the whole activation
+        # matrix would take 65.5 MB; a row block takes 1 MiB
+        X, _ = _default_problem()
+        rng = np.random.default_rng(3)
+        net = RbfNetwork(centers=X[rng.choice(X.shape[0], 2000, replace=False)], spread=1.0,
+                         output_weights=rng.normal(0.0, 1.0, (2000, 3)),
+                         output_bias=np.zeros(3))
+        tracemalloc.start()
+        try:
+            out = forward(net, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (X.shape[0], 3)
+        assert peak < 4e6
 
 
 def assert_same_run(a, b):

@@ -1,10 +1,12 @@
 """Tests for trajectory synthesis, noise injection, metrics and series I/O."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gpsdenoise.signal import (
+    _CSV_BLOCK,
     NoiseConfig,
     PositionSeries,
     SeriesFormatError,
@@ -14,6 +16,7 @@ from gpsdenoise.signal import (
     generate_trajectory,
     mse,
     read_series,
+    write_csv,
     write_series,
 )
 
@@ -233,12 +236,13 @@ class TestMse:
 
 class TestSeriesIO:
     def test_roundtrip(self, tmp_path):
-        s = _random_series(10, n=40, dt=0.125)
+        # past a write block's edge, every value still reads back bit for bit
+        s = _random_series(10, n=2500, dt=0.125)
         path = tmp_path / "s.csv"
         write_series(s, path)
         out = read_series(path)
-        assert np.max(np.abs(out.samples - s.samples)) <= 1e-12
-        assert np.max(np.abs(out.timestamps - s.timestamps)) <= 1e-12
+        assert np.array_equal(out.samples, s.samples)
+        assert np.array_equal(out.timestamps, s.timestamps)
 
     def test_exact_text(self, tmp_path):
         # every value is written as the shortest repr that reads back bit for bit
@@ -256,6 +260,36 @@ class TestSeriesIO:
         out = read_series(path)
         assert np.array_equal(out.samples, s.samples)
         assert np.signbit(out.samples[0, 1])
+
+    @pytest.mark.parametrize("n", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2500])
+    def test_blocks_join_as_one_text(self, tmp_path, n):
+        # the text is the one-shot join of every row, whatever the block edges
+        specials = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+        table = np.random.default_rng(n).normal(0.0, 1e3, (n, len(specials)))
+        for edge in range(_CSV_BLOCK, n + _CSV_BLOCK, _CSV_BLOCK):
+            table[min(edge, n) - 1] = specials  # a block's last row, or the file's
+            if edge < n:
+                table[edge] = np.roll(specials, 2)
+        header = "a,b,c,d,e"
+        path = tmp_path / "t.csv"
+        write_csv(path, header, (table[:, 0], table[:, 1:]))
+        expected = "\n".join([header] + [",".join(map(repr, row)) for row in table.tolist()])
+        assert path.read_text() == expected + "\n"
+
+    def test_write_holds_one_row_block(self, tmp_path):
+        # a 50 000 x 4 table of 17-digit values: its Python objects would
+        # take 14 times the float64 table; one row block of them takes less
+        n = 50_000
+        rng = np.random.default_rng(4)
+        columns = (np.arange(n) * 0.1, rng.normal(0.0, 3e3, (n, 3)))
+        table_bytes = 4 * n * 8
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", "t,north,east,alt", columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table_bytes
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "s.csv"

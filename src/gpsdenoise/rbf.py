@@ -15,7 +15,9 @@ Candidate scoring reads the n x n candidate kernel matrix only through a
 kernel operator. Inputs on a uniform 1-D grid (the time axis of a sampled
 series) get ToeplitzKernel, which stores one kernel column and multiplies
 by FFT in O(n log n) time and O(n) memory; any other inputs get
-DenseKernel, which holds the full matrix. The trainer keeps everything it
+DenseKernel, which holds the full matrix. The operators only multiply:
+every kernel value, the picked center's column included, comes from
+_activations, the evaluator forward() uses. The trainer keeps everything it
 holds per output column (residual, candidate products) as contiguous rows
 of length n, and the operators multiply along the last axis, so a product
 takes one (n,) vector or an (r, n) block of rows.
@@ -222,10 +224,6 @@ class DenseKernel:
         """Squared Euclidean norm of every column."""
         return np.einsum("ij,ij->j", self.matrix, self.matrix)
 
-    def column(self, j: int) -> np.ndarray:
-        """Column j: the activations of center x_j on every input."""
-        return self.matrix[:, j]
-
 
 class ToeplitzKernel:
     """The same kernel for 1-D inputs on a constant step, without the n*n matrix.
@@ -233,14 +231,13 @@ class ToeplitzKernel:
     On such a grid K[i, j] = c[|i - j|] with c the first column, so K is
     symmetric Toeplitz. Products embed K in a 2n circulant matrix and go
     through one real FFT (Chan & Ng, SIAM Review 38, 1996); column sums and
-    norms come from prefix sums of c. Memory is O(n).
+    norms come from prefix sums of c. It keeps only c and the circulant's
+    spectrum, so memory is O(n), and one operator serves every training
+    on its grid and spread.
     """
 
     def __init__(self, X: np.ndarray, spread: float):
-        self._x = X
-        self._spread = spread
-        c = self.column(0)
-        self._c = c
+        self._c = c = _activations(X, X[:1], spread)[:, 0]
         # First column of the circulant embedding: c, one free entry, c reversed.
         self._circ_fft = np.fft.rfft(np.concatenate([c, [0.0], c[:0:-1]]))
 
@@ -264,10 +261,6 @@ class ToeplitzKernel:
     def column_norms2(self) -> np.ndarray:
         """Squared Euclidean norm of every column."""
         return self._symmetric_sums(self._c * self._c)
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j, evaluated from the inputs like forward() does."""
-        return _activations(self._x, self._x[j:j + 1], self._spread)[:, 0]
 
 
 def kernel_operator(X: np.ndarray, spread: float) -> DenseKernel | ToeplitzKernel:
@@ -357,8 +350,9 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     That matrix is reached through kernel_operator(): for 1-D inputs on a
     uniform grid it is never formed, and each product is an FFT
     convolution costing O(n log n); other inputs hold the full matrix in
-    O(n^2) memory and pay O(n^2) per product. Either way the design
-    columns are the activations forward() computes. Deterministic:
+    O(n^2) memory and pay O(n^2) per product. Either way the picked
+    column is evaluated by _activations, as forward() evaluates it, so the
+    design columns are the activations forward() computes. Deterministic:
     identical inputs, targets and config give identical results.
 
     Raises ValueError for any other shape, for empty or non-finite data,
@@ -472,7 +466,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
 
         # Orthogonalise the accepted column against the basis in two
         # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
-        column = op.column(idx)
+        column = _activations(X, X[idx:idx + 1], config.spread)[:, 0]
         r = B @ column
         v = column - B.T @ r
         s = B @ v

@@ -614,6 +614,28 @@ class TestOrthogonalLeastSquares:
         sse = float(np.sum((forward(net, X) - Y) ** 2))
         assert sse == pytest.approx(trace.sse_history[-1], rel=1e-9)
 
+    @staticmethod
+    def _improved_low_cell(max_neurons, spread, m):
+        """An improved Table-1 cell: every m-th sample of the default signal's
+        low band at goal 1e-6 / m; the network's SSE on that grid and the trace."""
+        X, Y = _default_problem("low")
+        X, Y = X[::m], Y[::m]
+        net, trace = train(X, Y, TrainConfig(1e-6 / m, max_neurons, spread))
+        return float(np.sum((forward(net, X) - Y) ** 2)), trace
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_improved_cell_delivers_the_traced_sse(self):
+        # budget 50, spread 100 (M = 32): no in-span stage, and still a gap
+        sse, trace = self._improved_low_cell(50, 100.0, 32)
+        assert sse == pytest.approx(trace.sse_history[-1], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("max_neurons, m", [(50, 32), (100, 16)])
+    def test_spread_30_improved_cells_deliver_the_traced_sse(self, max_neurons, m):
+        sse, trace = self._improved_low_cell(max_neurons, 30.0, m)
+        assert not any(trace.in_span)
+        # an SSE of order 1e-8: relative only, without approx's 1e-12 floor
+        assert sse == pytest.approx(trace.sse_history[-1], rel=1e-9, abs=0.0)
+
 
 def _grid(n, dt=0.1):
     return (np.arange(n) * dt)[:, None]
@@ -647,8 +669,8 @@ class TestKernelOperator:
         assert _rel_dev(sums, dense.matrix.sum(axis=0)) <= 1e-12
         assert _rel_dev(op.column_norms2(), dense.column_norms2()) <= 1e-12
         for j in {0, 1, n // 2, n - 1}:
-            # same evaluator as the dense build, so bit-identical
-            assert np.array_equal(op.column(j), dense.column(j))
+            # the trainer's column is the dense build's, bit for bit
+            assert np.array_equal(_activations(X, X[j:j + 1], spread)[:, 0], dense.matrix[:, j])
 
     @pytest.mark.parametrize("kind", [ToeplitzKernel, DenseKernel])
     def test_vector_product_is_its_row_of_the_block_product(self, kind):
@@ -675,7 +697,7 @@ class TestKernelOperator:
         op = kernel_operator(inside, spread)
         assert isinstance(op, ToeplitzKernel)
         lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        toeplitz = op.column(0)[lag]
+        toeplitz = _activations(inside, inside[:1], spread)[:, 0][lag]
         assert np.max(np.abs(toeplitz - DenseKernel(inside, spread).matrix)) <= 1e-12
         outside = (line + 1.5 * tol * jitter)[:, None]
         assert isinstance(kernel_operator(outside, spread), DenseKernel)
@@ -697,10 +719,27 @@ class TestKernelOperator:
         product_bound = entry_bound * np.abs(V).sum(axis=1).max()
         assert np.max(np.abs(op.matmul(V) - dense.matmul(V))) <= product_bound
         # K[i, j] = c[|i - j|] as a strided view of [c reversed, c[1:]]
-        c = op.column(0)
+        c = _activations(X, X[:1], spread)[:, 0]
         lagged = np.lib.stride_tricks.sliding_window_view(np.concatenate([c[:0:-1], c]), n)
         diff = np.subtract(dense.matrix, lagged[::-1], out=dense.matrix)
         assert np.max(np.abs(diff)) <= entry_bound
+
+    @pytest.mark.parametrize("kind", [ToeplitzKernel, DenseKernel])
+    def test_one_operator_serves_many_trainings(self, kind):
+        # the mid and high bands of the default signal's first 1024 samples
+        # share one grid: trained through one operator, each run equals a
+        # run on a fresh operator, and the operator is left as it was built
+        X = _default_problem()[0][:1024]
+        cfg = TrainConfig(sse_goal=1e-6, max_neurons=30, spread=5.0)
+        op = kind(X, cfg.spread)
+        built = {name: value.copy() for name, value in vars(op).items()}
+        for band in ("mid", "high"):
+            Y = _default_problem(band)[1][:1024]
+            shared = _greedy_train(X, Y, cfg, op, time.perf_counter())
+            fresh = _greedy_train(X, Y, cfg, kind(X, cfg.spread), time.perf_counter())
+            assert_same_run(shared, fresh)
+        for name, value in vars(op).items():
+            assert np.array_equal(value, built[name]), name
 
     def test_generated_grid_of_100k_samples_never_builds_the_dense_kernel(self, monkeypatch):
         # _grid is the time axis generate_trajectory writes; the dense kernel

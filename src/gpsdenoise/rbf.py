@@ -5,9 +5,11 @@ inputs; the output layer is linear with a bias. Training is orthogonal least
 squares: one QR factorisation of the design, grown by a column per inserted
 center, scores the candidates at the cost of one kernel product per new
 basis direction; its factor R, kept on the trace, solves the output
-layer of any stage on demand. Training stops when the summed
-squared error falls to the configured goal, the neuron budget is reached,
-or every training input has been consumed as a center. The run is nested
+layer of any stage on demand. A center in the span of the earlier design
+changes no score, so the picks after it are known, and a run of such
+centers is orthogonalised as one block product. Training stops when the
+summed squared error falls to the configured goal, the neuron budget is
+reached, or every training input has been consumed as a center. The run is nested
 in both rules: its first stages are those of any run with a smaller
 budget or a looser goal, so cut_run reads such a run off a longer one.
 
@@ -133,8 +135,11 @@ class TrainTrace:
     number of training inputs. stage_seconds[k] is the trainer's clock at
     the end of stage k, in seconds since train() was entered (stage 0
     ends once the bias-only model and the kernel operator are set up); it
-    is the one field that differs between identical runs. A cut keeps
-    its run's clock up to the cut, a timed run the median over repeats.
+    is the one field that differs between identical runs. A stage taken
+    from a block of in-span picks ends when the block's verdicts are in,
+    so every stage of a block reads the same clock. A cut keeps its run's
+    clock up to the cut, a block's clock for a cut inside a block, and a
+    timed run the median over repeats.
 
     R is the triangular factor of the final design in the training basis:
     one row per basis vector (bias direction first), one column per center
@@ -339,8 +344,14 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     every stage is the score that chose it; one product of the candidate
     kernel matrix with q then updates both the norms and the residual
     products. A center in the span of the earlier design costs no product,
-    and the stage after it reuses the scores it left unchanged. The residual
-    and its products are held as one row of length n per output column; the
+    and the stage after it reuses the scores it left unchanged, so its next
+    picks are known: once such a run is r >= 2 stages long, the next r
+    picks (at most 16 at 4096 inputs, whatever the budget or goal) are
+    orthogonalised together as block products, and those whose remainder
+    lies below the span cut by more than rounding are accepted from it;
+    the first other one goes through the one-column passes, which alone
+    decide whether a center opens a direction. The residual and its
+    products are held as one row of length n per output column; the
     products (an (m, n) block for m output columns) are computed afresh, as
     the product of the residual's part orthogonal to Q, for the first stage
     and again only once the error has fallen 1e4-fold since they last were.
@@ -380,6 +391,38 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
             raise ValueError(f"spread {config.spread:g} is too small for inputs spanning "
                              f"{np.sqrt(span2):g}: (span / spread)^2 overflows")
     return _greedy_train(X, Y, config, kernel_operator(X, config.spread), start)
+
+
+def _next_picks(scores: np.ndarray, count: int) -> np.ndarray:
+    """The `count` indices argmax picks in turn from fixed scores, each struck
+    out before the next: best score first, lowest index among equal scores."""
+    top = np.argpartition(scores, scores.size - count)[scores.size - count:]
+    # argpartition keeps any of the indices that tie on the last score it
+    # admits; argmax takes the lowest. A NaN score leaves no picks.
+    edge = scores[top].min()
+    top = np.concatenate([top[scores[top] > edge], np.flatnonzero(scores == edge)])[:count]
+    return top[np.lexsort((top, -scores[top]))]
+
+
+def _block_cut(n_basis: int) -> float:
+    """Remainder, relative to its column's norm, below which a block product
+    puts a column in the span of n_basis basis rows.
+
+    The one-column path's cut is 1e-10; a block product sums in another
+    order, so its remainder of the same column differs by rounding. Of the
+    first Gram-Schmidt pass, only the error of the product B.T @ r outlives
+    the second pass, which removes whatever lies in the span, r's own
+    error included. That product sums k = n_basis terms per entry, so it
+    rounds by at most gamma_k * sqrt(k) * |c| <= k^1.5 * eps * |c| in
+    either order (gamma_k = k u / (1 - k u), u = eps / 2; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 3), and the two
+    remainders differ by at most twice that. The second pass and the norms
+    round a remainder near the cut by relative amounts below
+    sqrt(k) * n * eps, adding less than eps * |c| while sqrt(k) * n < 1e10.
+    So a block remainder below the cut by 2 * (k^1.5 + 1) * eps * |c|, 2.4e-13
+    of |c| at k = 66, is below it on the one-column path too.
+    """
+    return 1e-10 - 2 * (n_basis ** 1.5 + 1) * np.finfo(np.float64).eps
 
 
 def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
@@ -441,9 +484,17 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     # that leave the residual and cross.
     outer = np.empty((m, n))
     spans = False
+    run = 0  # in-span stages since the last stage that opened a direction
+    # Picks a block product placed in the span, in pick order, each with its
+    # column of R; a trailing None sends the block's next pick through the
+    # one-column path. The block and its scratch hold at most _FORWARD_BLOCK
+    # floats, and no stopping rule sizes it, so runs stay nested in both rules.
+    queued: list = []
+    block_rows = _FORWARD_BLOCK // (2 * n)
 
     while (reason := stop_reason(sse, len(chosen), n, config)) is None:
         B = basis[:n_basis]
+        k = len(chosen)
         # After a center that opened no direction, residual, cross, cand_norm2
         # and the SSE are as they were, so every score stands but the new pick's.
         if not spans:
@@ -459,26 +510,50 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             with np.errstate(over="ignore"):
                 np.einsum("ij,ij->j", cross, cross, out=scores)
                 scores /= cand_norm2
-        scores[chosen] = -np.inf
-        idx = int(np.argmax(scores))
-        k = len(chosen)
+            scores[chosen] = -np.inf
+        # The scores stand through a run of in-span stages, so its next picks
+        # are known. Once the run is r >= 2 stages long, the next min(r, ...)
+        # picks go through the two Gram-Schmidt passes below as one block
+        # product, which reads the basis once for them all (block
+        # Gram-Schmidt, Stewart, SIAM J. Sci. Comput. 31(1), 2008).
+        if not queued and (size := min(run, n - k, block_rows)) >= 2:
+            picks = _next_picks(scores, size)
+            C = _activations(X[picks], X, config.spread)  # rows as the one-column path's
+            c_norm = np.sqrt(np.einsum("ij,ij->i", C, C))
+            Rb = C @ B.T
+            V = Rb @ B
+            np.subtract(C, V, out=V)
+            S = V @ B.T
+            V -= np.matmul(S, B, out=C)
+            Rb += S
+            below = np.sqrt(np.einsum("ij,ij->i", V, V)) <= _block_cut(n_basis) * c_norm
+            accepted = int(np.logical_and.accumulate(below).sum())
+            queued = list(zip(picks[:accepted].tolist(), Rb)) + [None] * (accepted < size)
+            verdicts_in = time.perf_counter() - start
+        entry = queued.pop(0) if queued else None
+        if entry is not None:
+            idx, R[:n_basis, k] = entry
+            spans = True
+        else:
+            idx = int(np.argmax(scores))
+            # Orthogonalise the accepted column against the basis in two
+            # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
+            column = _activations(X, X[idx:idx + 1], config.spread)[:, 0]
+            r = B @ column
+            v = column - B.T @ r
+            s = B @ v
+            v -= B.T @ s
+            r += s
+            R[:n_basis, k] = r
+            norm = math.sqrt(v @ v)  # |v|, as np.linalg.norm computes it for a real vector
+            # A column already in the span opens no basis row and leaves the
+            # residual, and with it every score, unchanged; the minimum-norm
+            # solve sets its weight.
+            spans = norm <= 1e-10 * math.sqrt(column @ column)
         chosen.append(idx)
-
-        # Orthogonalise the accepted column against the basis in two
-        # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
-        column = _activations(X, X[idx:idx + 1], config.spread)[:, 0]
-        r = B @ column
-        v = column - B.T @ r
-        s = B @ v
-        v -= B.T @ s
-        r += s
-        R[:n_basis, k] = r
-        norm = math.sqrt(v @ v)  # |v|, as np.linalg.norm computes it for a real vector
-        # A column already in the span opens no basis row and leaves the
-        # residual, and with it every score, unchanged; the minimum-norm
-        # solve sets its weight.
-        spans = norm <= 1e-10 * math.sqrt(column @ column)
+        scores[idx] = -np.inf
         in_span.append(spans)
+        run = run + 1 if spans else 0
         if not spans:
             q = np.divide(v, norm, out=basis[n_basis])
             R[n_basis, k] = norm
@@ -492,7 +567,8 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             n_basis += 1
             sse = float(np.vdot(residual, residual))
         sse_history.append(sse)
-        clock.append(time.perf_counter() - start)
+        # a stage accepted from a block ends when the block's verdicts are in
+        clock.append(time.perf_counter() - start if entry is None else verdicts_in)
 
     trace = TrainTrace(
         sse_history=np.asarray(sse_history),

@@ -840,20 +840,24 @@ class TestKernelOperator:
         assert net.n_centers == 20
         assert np.all(np.diff(trace.sse_history) <= 0)
 
-    def test_basis_is_the_one_block_training_holds(self):
+    @pytest.mark.parametrize("spread", [1.0, 100.0])
+    def test_basis_is_the_one_block_training_holds(self, spread):
         # 200 neurons on the default 4096 samples: the basis of (k + 1)
         # rows of n floats is the one block of that size; residual,
-        # candidate products, norms and scores take O(n) each
+        # candidate products, norms and scores take O(n) each, and at
+        # spread 100, where 180 of the 200 stages are in-span, so do the
+        # block products that orthogonalise runs of them
         X, Y = _default_problem()
-        cfg = TrainConfig(sse_goal=0.0, max_neurons=200, spread=1.0)
+        cfg = TrainConfig(sse_goal=0.0, max_neurons=200, spread=spread)
         basis_bytes = (cfg.max_neurons + 1) * X.shape[0] * 8
         tracemalloc.start()
         try:
-            net, _ = train(X, Y, cfg)
+            net, trace = train(X, Y, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert net.n_centers == cfg.max_neurons
+        assert (sum(trace.in_span) >= 150) == (spread == 100.0)
         assert peak < 1.6 * basis_bytes
 
     def test_forward_holds_one_row_block(self):
@@ -949,3 +953,126 @@ class TestCutRun:
         clock = trace.stage_seconds
         assert clock.shape == (len(trace.sse_history),)
         assert 0.0 <= clock[0] and np.all(np.diff(clock) >= 0) and clock[-1] <= elapsed
+
+
+class TestInSpanBlocks:
+    """Runs of in-span picks orthogonalised as one block product against
+    the one-column path, which every stage takes when no block fits."""
+
+    @staticmethod
+    def _case(name):
+        if name == "jittered":
+            # the DENSE_CASES input at a wider budget and spread: in-span runs
+            # with an opening stage between them
+            X, Y, _ = TestKernelOperator._dense_case("jittered")
+            return X, Y, TrainConfig(0.0, 40, 0.5)
+        if name == "2d":
+            rng = np.random.default_rng(71)
+            return (rng.uniform(0, 1, (60, 2)), rng.normal(0, 1, (60, 2)),
+                    TrainConfig(0.0, 60, 1.0))
+        seed, spread = name
+        return (*_default_problem(None, seed), TrainConfig(1e-6, 100, spread))
+
+    @staticmethod
+    def _train_spied(monkeypatch, X, Y, cfg):
+        """train() through an operator built beforehand, recording the
+        activation calls it makes: each block of picks as (center rows,
+        activation rows), and the number of one-column evaluations."""
+        from gpsdenoise import rbf
+
+        op = kernel_operator(X, cfg.spread)
+        blocks, singles = [], []
+        activations = rbf._activations
+
+        def spy(inputs, centers, spread):
+            out = activations(inputs, centers, spread)
+            if inputs.shape[0] < X.shape[0]:
+                blocks.append((inputs, out.copy()))  # the trainer reuses it as scratch
+            else:
+                assert centers.shape[0] == 1
+                singles.append(centers)
+            return out
+
+        monkeypatch.setattr(rbf, "_activations", spy)
+        run = _greedy_train(X, Y, cfg, op, time.perf_counter())
+        monkeypatch.setattr(rbf, "_activations", activations)
+        return run, blocks, len(singles)
+
+    @pytest.mark.parametrize("name", [(seed, spread) for seed in (1234, 1, 7)
+                                      for spread in (30.0, 50.0, 100.0)] + ["jittered", "2d"],
+                             ids=str)
+    def test_blocks_keep_the_one_column_run(self, monkeypatch, name):
+        # the conventional Table-1 cells at three seeds, and two Dense-path
+        # inputs, against runs whose block bound admits no block
+        from gpsdenoise import rbf
+
+        X, Y, cfg = self._case(name)
+        (_, trace), blocks, singles = self._train_spied(monkeypatch, X, Y, cfg)
+        monkeypatch.setattr(rbf, "_FORWARD_BLOCK", 0)
+        (_, oracle), no_blocks, all_singles = self._train_spied(monkeypatch, X, Y, cfg)
+        assert blocks and not no_blocks
+        assert all_singles == len(oracle.in_span) > singles
+        for field in ("selected_indices", "in_span", "stop_reason"):
+            assert getattr(trace, field) == getattr(oracle, field), field
+        assert np.array_equal(trace.sse_history, oracle.sse_history)
+        assert np.array_equal(trace.coef, oracle.coef)
+        # only the in-span columns of R move, at rounding level
+        assert trace.R.shape == oracle.R.shape
+        opening = [k for k, spans in enumerate(oracle.in_span) if not spans] + [-1]
+        assert np.array_equal(trace.R[:, opening], oracle.R[:, opening])
+        assert np.max(np.abs(trace.R - oracle.R)) <= 1e-15 * np.max(np.abs(oracle.R))
+        for centers, rows in blocks:
+            for j, row in enumerate(rows):
+                assert np.array_equal(row, rbf._activations(X, centers[j:j + 1], cfg.spread)[:, 0])
+
+    def test_next_picks_follow_argmax_through_ties(self):
+        # scores drawn from five values, so most picks tie; struck-out
+        # candidates hold -inf, as in the trainer
+        from gpsdenoise.rbf import _next_picks
+
+        rng = np.random.default_rng(4)
+        scores = rng.integers(0, 5, 60).astype(float)
+        scores[rng.choice(60, 10, replace=False)] = -np.inf
+        expected, left = [], scores.copy()
+        for _ in range(50):
+            expected.append(int(np.argmax(left)))
+            left[expected[-1]] = -np.inf
+        for count in (1, 2, 7, 13, 50):
+            assert _next_picks(scores, count).tolist() == expected[:count]
+        scores[3] = np.nan  # argmax's order is NaN first: no block picks
+        assert _next_picks(scores, 5).size == 0
+
+    def test_a_cut_inside_a_block_equals_its_standalone_run(self):
+        # the spread-100 conventional cell is in-span from its 21st stage on;
+        # blocks of 2, 4, 8 and 16 picks follow two one-column stages, so
+        # the last of them holds stages 37 to 52. A budget inside it, even
+        # at its first stage, leaves the block as it is.
+        X, Y = _default_problem()
+        run = train(X, Y, TrainConfig(1e-6, 100, 100.0))
+        assert run[1].in_span.index(True) == 20 and all(run[1].in_span[20:])
+        clock = run[1].stage_seconds
+        assert clock[36] < clock[37] == clock[50] == clock[52] < clock[53]
+        for budget in (37, 50):
+            cfg = TrainConfig(1e-6, budget, 100.0)
+            assert_same_run(cut_run(*run, cfg), train(X, Y, cfg))
+
+    def test_a_remainder_near_the_cut_takes_the_one_column_path(self, monkeypatch):
+        # seed 1 at spread 30: 66 opening stages, then 34 in-span ones whose
+        # remainders lie at 8.2e-11 to 8.8e-11 of their column's norm, below
+        # the cut of 1e-10 by far more than the block's rounding margin
+        from gpsdenoise import rbf
+
+        X, Y, cfg = self._case((1, 30.0))
+        (_, trace), _, singles = self._train_spied(monkeypatch, X, Y, cfg)
+        assert trace.in_span == [False] * 66 + [True] * 34
+        # two one-column stages start the run; blocks accept the other 32
+        assert singles == 66 + 2
+        # a cut at 8.5e-11 leaves some of those remainders inside the
+        # margin: those go through the one-column path, which finds them
+        # in the span as before
+        monkeypatch.setattr(rbf, "_block_cut", lambda n_basis: 0.85e-10)
+        (_, near), _, near_singles = self._train_spied(monkeypatch, X, Y, cfg)
+        assert near.in_span == trace.in_span
+        assert near.selected_indices == trace.selected_indices
+        assert np.array_equal(near.sse_history, trace.sse_history)
+        assert 66 + 2 < near_singles < 100

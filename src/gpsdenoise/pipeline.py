@@ -340,7 +340,8 @@ def emit_plot_data(result: BenchmarkResult,
     mirroring how the fit sharpens as neurons are added. The learned column
     is the final network's output on the training inputs, as run_method
     computed it; the original column is the clean evaluation reference.
-    Each stage network is solved and evaluated once, for all components.
+    Each stage network is solved and evaluated once, for all components;
+    the last stage is the result's network, which training already solved.
     """
     for component in components:
         if component not in COMPONENTS:
@@ -348,12 +349,17 @@ def emit_plot_data(result: BenchmarkResult,
     inputs = result.reference.timestamps[:, None]
     n = inputs.shape[0]
     n_stages = len(result.trace.sse_history)
-    stage_of_sample = (np.arange(n) * n_stages) // n
     teaching = np.empty_like(result.outputs)
-    for stage in np.unique(stage_of_sample):
-        mask = stage_of_sample == stage
-        subnet = stage_network(result.network, result.trace, int(stage))
-        teaching[mask] = forward(subnet, inputs[mask])
+    # Sample i shows stage floor(i * n_stages / n), which never decreases
+    # with i, so stage s shows the samples [ceil(s n / S), ceil((s+1) n / S))
+    # for S = n_stages; with more stages than samples some show on none.
+    for stage in range(n_stages):
+        lo, hi = -(-stage * n // n_stages), -(-(stage + 1) * n // n_stages)
+        if lo == hi:
+            continue
+        subnet = (result.network if stage == n_stages - 1
+                  else stage_network(result.network, result.trace, stage))
+        teaching[lo:hi] = forward(subnet, inputs[lo:hi])
     ref = result.reference
     return [PlotData(comp, ref.timestamps.copy(), ref.samples[:, c].copy(), teaching[:, c],
                      result.outputs[:, c])

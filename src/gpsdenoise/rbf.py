@@ -182,8 +182,8 @@ def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarra
     """
     sq = np.subtract.outer(X[:, 0], centers[:, 0])
     sq *= sq
-    for x, c in zip(X.T[1:], centers.T[1:]):
-        diff = np.subtract.outer(x, c)
+    for j in range(1, X.shape[1]):
+        diff = np.subtract.outer(X[:, j], centers[:, j])
         diff *= diff
         sq += diff
     sq /= -(spread * spread)
@@ -351,10 +351,11 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     lies below the span cut by more than rounding are accepted from it;
     the first other one goes through the one-column passes, which alone
     decide whether a center opens a direction. The residual and its
-    products are held as one row of length n per output column; the
-    products (an (m, n) block for m output columns) are computed afresh, as
-    the product of the residual's part orthogonal to Q, for the first stage
-    and again only once the error has fallen 1e4-fold since they last were.
+    products are held as one (2, m, n) state, a row of length n per output
+    column each, which a new direction updates in one product; the
+    products are computed afresh, as the product of the residual's part
+    orthogonal to Q, for the first stage and again only once the error has
+    fallen 1e4-fold since they last were.
     Only the final output layer is solved, once, through R on at most k+1
     rows instead of n; stage_network() solves earlier stages the same way.
 
@@ -439,11 +440,15 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     # be finite, which finite targets alone do not promise.
     # Per-output quantities are kept as rows of length n, one per output
     # column, so their elementwise work runs along contiguous memory. The
+    # residual and the rows of `cross` (below) are the two (m, n) halves of
+    # one state, so a new direction updates both in one product. The
     # residual starts as the centered targets Yc, transposed: Y less the
     # bias-only predictions.
+    state = np.empty((2, m, n))
+    residual, cross = state
     with np.errstate(over="ignore", invalid="ignore"):
-        target_means = Y.mean(axis=0)
-        residual = (Y - target_means).T.copy()
+        target_means = np.add.reduce(Y, axis=0) / n  # what Y.mean(axis=0) computes
+        np.subtract(Y.T, target_means[:, None], out=residual)
         sse = float(np.vdot(residual, residual))
     if not math.isfinite(sse):
         raise ValueError("targets overflow: their mean or their summed squared deviation "
@@ -477,12 +482,15 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     coef = np.zeros((max_centers + 1, m))
 
     sse_history = [sse]
-    chosen: list[int] = []
+    picked = np.empty(max_centers, dtype=np.intp)  # the centers' indices, in pick order
+    k = 0  # centers picked
     in_span: list[bool] = []
     clock = [time.perf_counter() - start]
-    # Scratch rows for a new direction's updates: the (m, n) outer products
-    # that leave the residual and cross.
-    outer = np.empty((m, n))
+    # Scratch for a new direction's update: the stacked rows [q; K q] and
+    # the (2, m, n) product with the direction's coefficients that leaves
+    # the state.
+    rows = np.empty((2, n))
+    outer = np.empty_like(state)
     spans = False
     run = 0  # in-span stages since the last stage that opened a direction
     # Picks a block product placed in the span, in pick order, each with its
@@ -492,9 +500,8 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     queued: list = []
     block_rows = _FORWARD_BLOCK // (2 * n)
 
-    while (reason := stop_reason(sse, len(chosen), n, config)) is None:
+    while (reason := stop_reason(sse, k, n, config)) is None:
         B = basis[:n_basis]
-        k = len(chosen)
         # After a center that opened no direction, residual, cross, cand_norm2
         # and the SSE are as they were, so every score stands but the new pick's.
         if not spans:
@@ -502,7 +509,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
                 # c_perp . residual for every candidate c, with c_perp the part
                 # of c orthogonal to the current design span: c . r_perp, with
                 # r_perp the residual's part orthogonal to the basis.
-                cross = op.matmul(residual - (residual @ B.T) @ B)
+                cross[...] = op.matmul(residual - (residual @ B.T) @ B)
                 scored_sse = sse
             # Exact SSE drop from adding column c: |c_perp . residual|^2 / |c_perp|^2.
             # A score past the float range becomes +inf, which argmax picks
@@ -510,15 +517,15 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             with np.errstate(over="ignore"):
                 np.einsum("ij,ij->j", cross, cross, out=scores)
                 scores /= cand_norm2
-            scores[chosen] = -np.inf
+            scores[picked[:k]] = -np.inf
         # The scores stand through a run of in-span stages, so its next picks
         # are known. Once the run is r >= 2 stages long, the next min(r, ...)
         # picks go through the two Gram-Schmidt passes below as one block
         # product, which reads the basis once for them all (block
         # Gram-Schmidt, Stewart, SIAM J. Sci. Comput. 31(1), 2008).
         if not queued and (size := min(run, n - k, block_rows)) >= 2:
-            picks = _next_picks(scores, size)
-            C = _activations(X[picks], X, config.spread)  # rows as the one-column path's
+            block = _next_picks(scores, size)
+            C = _activations(X[block], X, config.spread)  # rows as the one-column path's
             c_norm = np.sqrt(np.einsum("ij,ij->i", C, C))
             Rb = C @ B.T
             V = Rb @ B
@@ -528,14 +535,14 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             Rb += S
             below = np.sqrt(np.einsum("ij,ij->i", V, V)) <= _block_cut(n_basis) * c_norm
             accepted = int(np.logical_and.accumulate(below).sum())
-            queued = list(zip(picks[:accepted].tolist(), Rb)) + [None] * (accepted < size)
+            queued = list(zip(block[:accepted].tolist(), Rb)) + [None] * (accepted < size)
             verdicts_in = time.perf_counter() - start
         entry = queued.pop(0) if queued else None
         if entry is not None:
             idx, R[:n_basis, k] = entry
             spans = True
         else:
-            idx = int(np.argmax(scores))
+            idx = int(scores.argmax())
             # Orthogonalise the accepted column against the basis in two
             # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
             column = _activations(X, X[idx:idx + 1], config.spread)[:, 0]
@@ -550,43 +557,48 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             # residual, and with it every score, unchanged; the minimum-norm
             # solve sets its weight.
             spans = norm <= 1e-10 * math.sqrt(column @ column)
-        chosen.append(idx)
+        picked[k] = idx
         scores[idx] = -np.inf
         in_span.append(spans)
         run = run + 1 if spans else 0
         if not spans:
             q = np.divide(v, norm, out=basis[n_basis])
+            rows[0] = q
             R[n_basis, k] = norm
             # coef row == Yc.T @ q: q is orthogonal to what was removed
-            np.matmul(residual, q, out=coef[n_basis])
-            residual -= np.multiply.outer(coef[n_basis], q, out=outer)
-            kq = op.matmul(q)
-            cross -= np.multiply.outer(coef[n_basis], kq, out=outer)
+            coef_q = np.matmul(residual, q, out=coef[n_basis])
+            rows[1] = op.matmul(q)
+            state -= np.multiply(coef_q[:, None], rows[:, None], out=outer)
+            kq = rows[1]
             cand_norm2 -= np.multiply(kq, kq, out=kq)
             np.maximum(cand_norm2, 1e-300, out=cand_norm2)
             n_basis += 1
             sse = float(np.vdot(residual, residual))
+        k += 1
         sse_history.append(sse)
         # a stage accepted from a block ends when the block's verdicts are in
         clock.append(time.perf_counter() - start if entry is None else verdicts_in)
 
+    # The final output layer is solved once, on the trace's R as built.
+    R = np.column_stack([R[:n_basis, :k], R[:n_basis, max_centers]])
+    coef = coef[:n_basis].copy()
+    weights, centered_bias = solve_output_weights(R, coef)
     trace = TrainTrace(
         sse_history=np.asarray(sse_history),
-        selected_indices=chosen,
+        selected_indices=picked[:k].tolist(),
         stop_reason=reason,
         in_span=in_span,
-        R=np.column_stack([R[:n_basis, :len(chosen)], R[:n_basis, max_centers]]),
-        coef=coef[:n_basis].copy(),
+        R=R,
+        coef=coef,
         target_means=target_means,
         n_inputs=n,
         stage_seconds=np.asarray(clock),
     )
-    weights, bias = trace.stage_weights(len(chosen))
     net = RbfNetwork(
-        centers=_frozen(X[chosen]),
+        centers=_frozen(X[picked[:k]]),
         spread=config.spread,
-        output_weights=weights,
-        output_bias=bias,
+        output_weights=_frozen(weights),
+        output_bias=_frozen(centered_bias + target_means),
     )
     return net, trace
 

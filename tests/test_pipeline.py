@@ -596,16 +596,22 @@ class TestPlotData:
             assert np.array_equal(plot.original, result.reference.samples[:, c])
 
     def test_each_stage_is_evaluated_once(self, monkeypatch):
-        from gpsdenoise import pipeline
+        from gpsdenoise import rbf
 
         calls = []
+        solves = []
 
         def counting(net, inputs):
             calls.append(net.n_centers)
             return forward(net, inputs)
 
+        def counting_solve(design, targets, solve=rbf.solve_output_weights):
+            solves.append(design.shape)
+            return solve(design, targets)
+
         monkeypatch.setattr(pipeline, "forward", counting)
         result = run_method(_pair(max_neurons=10)[0])
+        monkeypatch.setattr(rbf, "solve_output_weights", counting_solve)
         plots = emit_plot_data(result, ["north", "east", "alt"])
         assert len(plots) == 3
         stages = len(result.trace.sse_history)
@@ -613,6 +619,43 @@ class TestPlotData:
         # once per stage network, plus once for the final network's outputs,
         # which run_method computes and the learned column reuses
         assert sorted(calls) == sorted(list(range(stages)) + [result.network.n_centers])
+        # the last stage is the result's network, which training solved
+        assert len(solves) == stages - 1
+
+    @pytest.mark.parametrize("case", ["conventional", "improved", "more_stages_than_samples"])
+    def test_teaching_column_equals_the_per_sample_oracle(self, case, monkeypatch):
+        if case == "more_stages_than_samples":
+            # 8 samples, every one a center: 9 stages, so one shows on no sample
+            traj = TrajectoryConfig(n_samples=8, dt=1.0,
+                                    sinusoids=((Sinusoid(1.0, 0.1, 0.3),), (), ()))
+            config = MethodConfig(train=TrainConfig(sse_goal=0.0, max_neurons=8, spread=0.3),
+                                  noise=NoiseConfig(sigma=0.1, seed=2), trajectory=traj)
+        else:
+            config = _pair(max_neurons=20, spread=30.0)[case == "improved"]
+        result = run_method(config)
+        # the oracle: sample i shows stage floor(i * S / n), gathered by a mask per stage
+        inputs = result.reference.timestamps[:, None]
+        n = inputs.shape[0]
+        n_stages = len(result.trace.sse_history)
+        stage_of_sample = np.arange(n) * n_stages // n
+        expected = np.empty_like(result.outputs)
+        for stage in np.unique(stage_of_sample):
+            mask = stage_of_sample == stage
+            subnet = stage_network(result.network, result.trace, int(stage))
+            expected[mask] = forward(subnet, inputs[mask])
+        evaluated = []
+        monkeypatch.setattr(pipeline, "forward",
+                            lambda net, x: evaluated.append(len(x)) or forward(net, x))
+        for c, plot in enumerate(emit_plot_data(result)):
+            assert np.array_equal(plot.teaching, expected[:, c])
+        # one evaluation per stage that shows on a sample, and none on no sample
+        assert sorted(evaluated) == sorted(np.unique(stage_of_sample, return_counts=True)[1])
+        if case == "more_stages_than_samples":
+            assert n_stages == n + 1
+            assert len(np.unique(stage_of_sample)) < n_stages
+        else:
+            # n_stages does not divide n, so the stages show on runs of unequal length
+            assert n % n_stages != 0
 
 
 class TestReport:

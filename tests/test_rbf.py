@@ -457,6 +457,25 @@ def _default_problem(band=None, seed=None):
     return series.timestamps[:, None], series.samples
 
 
+def _assert_drops_equal_scores(X, Y, cfg, trace):
+    """Each stage's SSE drop is its pick's score, the largest of all: the SSE
+    drop of adding a candidate's column to the previous stage's design,
+    |c_perp . r|^2 / |c_perp|^2, here from a fresh QR of that design."""
+    acts = _design(X, X, cfg.spread)[:, :-1]
+    history = trace.sse_history
+    for k, idx in enumerate(trace.selected_indices):
+        prev = trace.selected_indices[:k]
+        Q, _ = np.linalg.qr(np.column_stack([np.ones(X.shape[0]), acts[:, prev]]))
+        resid = Y - Q @ (Q.T @ Y)
+        perp = acts - Q @ (Q.T @ acts)
+        scores = (((perp.T @ resid) ** 2).sum(axis=1)
+                  / np.maximum((perp ** 2).sum(axis=0), 1e-300))
+        scores[prev] = 0.0
+        drop = history[k] - history[k + 1]
+        assert abs(drop - scores[idx]) <= 1e-9 * scores[idx]
+        assert scores[idx] >= (1.0 - 1e-9) * scores.max()
+
+
 def _opening_picks(trace):
     """The picks of the stages that opened a basis row, in order."""
     return [i for i, spans in zip(trace.selected_indices, trace.in_span) if not spans]
@@ -473,23 +492,26 @@ class TestOrthogonalLeastSquares:
             assert not any(trace.in_span)
 
     def test_each_stage_drop_equals_its_score(self):
-        # the score of a candidate is the SSE drop of adding its column to the
-        # previous stage's design: |c_perp . r|^2 / |c_perp|^2, here from a
-        # fresh QR of that design
         for X, Y, cfg, _, trace in _well_conditioned_runs():
-            acts = _design(X, X, cfg.spread)[:, :-1]
-            history = trace.sse_history
-            for k, idx in enumerate(trace.selected_indices):
-                prev = trace.selected_indices[:k]
-                Q, _ = np.linalg.qr(np.column_stack([np.ones(X.shape[0]), acts[:, prev]]))
-                resid = Y - Q @ (Q.T @ Y)
-                perp = acts - Q @ (Q.T @ acts)
-                scores = (((perp.T @ resid) ** 2).sum(axis=1)
-                          / np.maximum((perp ** 2).sum(axis=0), 1e-300))
-                scores[prev] = 0.0
-                drop = history[k] - history[k + 1]
-                assert abs(drop - scores[idx]) <= 1e-9 * scores[idx]
-                assert scores[idx] >= (1.0 - 1e-9) * scores.max()
+            _assert_drops_equal_scores(X, Y, cfg, trace)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_stacked_state_on_the_grid_path(self, m):
+        # the residual and the candidate products are one (2, m, n) state;
+        # _well_conditioned_runs covers m = 1-3 on Dense inputs only, so
+        # train m target columns on a uniform grid (ToeplitzKernel), from
+        # every other row of a target table, as run_method passes a
+        # decimated band, and from a C-order copy of those rows
+        X = _grid(90)
+        Y = np.random.default_rng(40 + m).normal(0.0, 1.0, (180, m))[::2]
+        assert not Y.flags.c_contiguous
+        cfg = TrainConfig(sse_goal=0.0, max_neurons=8, spread=0.15)
+        assert isinstance(kernel_operator(X, cfg.spread), ToeplitzKernel)
+        run = train(X, Y, cfg)
+        assert np.linalg.cond(_design(X, run[0].centers, cfg.spread)) <= 1e3
+        assert not any(run[1].in_span)
+        _assert_drops_equal_scores(X, Y, cfg, run[1])
+        assert_same_run(run, train(X, np.ascontiguousarray(Y), cfg))
 
     def test_in_span_flags_the_zero_drop_stages(self):
         # conventional cell nnsize 100, spread 100 on the default signal: most

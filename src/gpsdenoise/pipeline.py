@@ -335,9 +335,14 @@ def emit_plot_data(result: BenchmarkResult,
                    components: Sequence[str] = COMPONENTS) -> list[PlotData]:
     """Build the per-sample plot columns for each requested component, in order.
 
-    The teaching column walks the training stages along the sample axis:
-    early samples show the bias-only model, late samples the final network,
-    mirroring how the fit sharpens as neurons are added. The learned column
+    The teaching column walks the training stages along the sample axis,
+    mirroring how the fit sharpens as neurons are added: of n samples and S
+    stages (stage 0 the bias-only model, stage S - 1 the final network),
+    sample i shows stage floor(i S / n). Sample 0 shows the bias-only
+    model; the final network shows on the last samples only while S <= n.
+    With more stages than samples some stages show on no sample: a run
+    that makes every input a center has n + 1 stages, so sample i shows
+    stage i and the final network shows on none. The learned column
     is the final network's output on the training inputs, as run_method
     computed it; the original column is the clean evaluation reference.
     Each stage network is solved and evaluated once, for all components;

@@ -347,15 +347,15 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     and the stage after it reuses the scores it left unchanged, so its next
     picks are known: once such a run is r >= 2 stages long, the next r
     picks (at most 16 at 4096 inputs, whatever the budget or goal) are
-    orthogonalised together as block products, and those whose remainder
-    lies below the span cut by more than rounding are accepted from it;
-    the first other one goes through the one-column passes, which alone
-    decide whether a center opens a direction. The residual and its
-    products are held as one (2, m, n) state, a row of length n per output
-    column each, which a new direction updates in one product; the
-    products are computed afresh, as the product of the residual's part
-    orthogonal to Q, for the first stage and again only once the error has
-    fallen 1e4-fold since they last were.
+    orthogonalised together in one Gram-Schmidt pass of block products, and
+    those whose remainder lies below the span cut by more than that pass
+    rounds are accepted from it; the first other one goes through the
+    one-column path's two passes, which alone decide whether a center opens
+    a direction. The residual and its products are held as one (2, m, n)
+    state, a row of length n per output column each, which a new direction
+    updates in one product; the products are computed afresh, as the
+    product of the residual's part orthogonal to Q, for the first stage and
+    again only once the error has fallen 1e4-fold since they last were.
     Only the final output layer is solved, once, through R on at most k+1
     rows instead of n; stage_network() solves earlier stages the same way.
 
@@ -365,7 +365,8 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     O(n^2) memory and pay O(n^2) per product. Either way the picked
     column is evaluated by _activations, as forward() evaluates it, so the
     design columns are the activations forward() computes. Deterministic:
-    identical inputs, targets and config give identical results.
+    identical inputs, targets and config give identical results, whatever
+    the targets' memory layout.
 
     Raises ValueError for any other shape, for empty or non-finite data,
     for targets whose mean or summed squared deviation from it overflows,
@@ -374,7 +375,8 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     """
     start = time.perf_counter()
     X = np.asarray(inputs, dtype=np.float64)
-    Y = np.asarray(targets, dtype=np.float64)
+    # C order: the target means sum a column in an order set by its layout
+    Y = np.ascontiguousarray(targets, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] == 0:
         raise ValueError("inputs and targets must be 2-d matrices with at least one input column")
     n = X.shape[0]
@@ -405,25 +407,35 @@ def _next_picks(scores: np.ndarray, count: int) -> np.ndarray:
     return top[np.lexsort((top, -scores[top]))]
 
 
-def _block_cut(n_basis: int) -> float:
+def _block_cut(n_basis: int, n: int) -> float:
     """Remainder, relative to its column's norm, below which a block product
-    puts a column in the span of n_basis basis rows.
+    puts a column in the span of n_basis basis rows of length n.
 
-    The one-column path's cut is 1e-10; a block product sums in another
-    order, so its remainder of the same column differs by rounding. Of the
-    first Gram-Schmidt pass, only the error of the product B.T @ r outlives
-    the second pass, which removes whatever lies in the span, r's own
-    error included. That product sums k = n_basis terms per entry, so it
-    rounds by at most gamma_k * sqrt(k) * |c| <= k^1.5 * eps * |c| in
-    either order (gamma_k = k u / (1 - k u), u = eps / 2; Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, ch. 3), and the two
-    remainders differ by at most twice that. The second pass and the norms
-    round a remainder near the cut by relative amounts below
-    sqrt(k) * n * eps, adding less than eps * |c| while sqrt(k) * n < 1e10.
-    So a block remainder below the cut by 2 * (k^1.5 + 1) * eps * |c|, 2.4e-13
-    of |c| at k = 66, is below it on the one-column path too.
+    The one-column path's cut is 1e-10, on the remainder of two Gram-Schmidt
+    passes. The block takes one pass, c - (B @ c) @ B, so its remainder of
+    the same column c differs by what the second pass corrects and by both
+    paths' rounding. With k = n_basis, u = eps / 2 and gamma_j = j u / (1 - j u)
+    the bound on a j-term sum in any order (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 3):
+    - B @ c sums n terms per entry, so it rounds by at most sqrt(k) gamma_n |c|.
+      That error lies in the span: the second pass removes it, one pass keeps it.
+    - (B @ c) @ B sums k terms per entry and rounds by at most
+      sqrt(k) gamma_k |c| on each path, in directions no pass removes.
+    - One pass keeps the basis's loss of orthogonality, |B B.T - I| |c|,
+      which a second pass squares. Two passes hold it at O(eps) (Giraud,
+      Langou & Rozloznik, Comput. Math. Appl. 50, 2005): it measures at most
+      2.1e-15 on the conventional Table-1 cells at budgets 100 and 200 over
+      seven seeds, and k eps is kept for it.
+    - The subtraction, the second pass and the norms round a remainder near
+      the cut by relative amounts below sqrt(k) n eps, less than eps |c|
+      while sqrt(k) n < 1e10.
+    So the remainders differ by less than (sqrt(k) (n / 2 + 2 k) + k + 1) eps
+    of |c| while n < 1e8 (2 gamma_k <= 2 k eps covers gamma_n's excess over
+    n u), 4.0e-12 at k = 67 and n = 4096: a block remainder below the cut by
+    that much is below it on the one-column path too.
     """
-    return 1e-10 - 2 * (n_basis ** 1.5 + 1) * np.finfo(np.float64).eps
+    eps = np.finfo(np.float64).eps
+    return 1e-10 - (math.sqrt(n_basis) * (n / 2 + 2 * n_basis) + n_basis + 1) * eps
 
 
 def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
@@ -520,20 +532,19 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             scores[picked[:k]] = -np.inf
         # The scores stand through a run of in-span stages, so its next picks
         # are known. Once the run is r >= 2 stages long, the next min(r, ...)
-        # picks go through the two Gram-Schmidt passes below as one block
-        # product, which reads the basis once for them all (block
-        # Gram-Schmidt, Stewart, SIAM J. Sci. Comput. 31(1), 2008).
+        # picks go through one Gram-Schmidt pass as one block product, which
+        # reads the basis once for them all (block Gram-Schmidt, Stewart, SIAM
+        # J. Sci. Comput. 31(1), 2008). A second pass only keeps a new
+        # direction orthogonal, and an in-span column opens none: one pass
+        # gives its coordinates, R's column, to rounding level, and its
+        # verdict once the cut allows for that pass's rounding.
         if not queued and (size := min(run, n - k, block_rows)) >= 2:
             block = _next_picks(scores, size)
             C = _activations(X[block], X, config.spread)  # rows as the one-column path's
             c_norm = np.sqrt(np.einsum("ij,ij->i", C, C))
             Rb = C @ B.T
-            V = Rb @ B
-            np.subtract(C, V, out=V)
-            S = V @ B.T
-            V -= np.matmul(S, B, out=C)
-            Rb += S
-            below = np.sqrt(np.einsum("ij,ij->i", V, V)) <= _block_cut(n_basis) * c_norm
+            C -= Rb @ B
+            below = np.sqrt(np.einsum("ij,ij->i", C, C)) <= _block_cut(n_basis, n) * c_norm
             accepted = int(np.logical_and.accumulate(below).sum())
             queued = list(zip(block[:accepted].tolist(), Rb)) + [None] * (accepted < size)
             verdicts_in = time.perf_counter() - start

@@ -501,7 +501,9 @@ class TestOrthogonalLeastSquares:
         # _well_conditioned_runs covers m = 1-3 on Dense inputs only, so
         # train m target columns on a uniform grid (ToeplitzKernel), from
         # every other row of a target table, as run_method passes a
-        # decimated band, and from a C-order copy of those rows
+        # decimated band, and from a C-order copy, a Fortran-order copy and
+        # every other column of a wider table: the target means sum a
+        # column in an order set by its layout, unless train() copies it
         X = _grid(90)
         Y = np.random.default_rng(40 + m).normal(0.0, 1.0, (180, m))[::2]
         assert not Y.flags.c_contiguous
@@ -511,7 +513,10 @@ class TestOrthogonalLeastSquares:
         assert np.linalg.cond(_design(X, run[0].centers, cfg.spread)) <= 1e3
         assert not any(run[1].in_span)
         _assert_drops_equal_scores(X, Y, cfg, run[1])
-        assert_same_run(run, train(X, np.ascontiguousarray(Y), cfg))
+        wide = np.empty((Y.shape[0], 2 * m))
+        wide[:, ::2] = Y
+        for layout in (np.ascontiguousarray(Y), np.asfortranarray(Y), wide[:, ::2]):
+            assert_same_run(run, train(X, layout, cfg))
 
     def test_in_span_flags_the_zero_drop_stages(self):
         # conventional cell nnsize 100, spread 100 on the default signal: most
@@ -992,8 +997,8 @@ class TestInSpanBlocks:
             rng = np.random.default_rng(71)
             return (rng.uniform(0, 1, (60, 2)), rng.normal(0, 1, (60, 2)),
                     TrainConfig(0.0, 60, 1.0))
-        seed, spread = name
-        return (*_default_problem(None, seed), TrainConfig(1e-6, 100, spread))
+        seed, spread, budget = (*name, 100)[:3]
+        return (*_default_problem(None, seed), TrainConfig(1e-6, budget, spread))
 
     @staticmethod
     def _train_spied(monkeypatch, X, Y, cfg):
@@ -1021,11 +1026,13 @@ class TestInSpanBlocks:
         return run, blocks, len(singles)
 
     @pytest.mark.parametrize("name", [(seed, spread) for seed in (1234, 1, 7)
-                                      for spread in (30.0, 50.0, 100.0)] + ["jittered", "2d"],
-                             ids=str)
+                                      for spread in (30.0, 50.0, 100.0)]
+                             + [(1, 30.0, 200), (2, 30.0, 200), "jittered", "2d"], ids=str)
     def test_blocks_keep_the_one_column_run(self, monkeypatch, name):
-        # the conventional Table-1 cells at three seeds, and two Dense-path
-        # inputs, against runs whose block bound admits no block
+        # the conventional Table-1 cells at three seeds; two spread-30 cells at
+        # budget 200, whose 142 block columns hold one-pass remainders up to
+        # 8.8e-11 of their norm, close under the cut; and two Dense-path
+        # inputs; against runs whose block bound admits no block
         from gpsdenoise import rbf
 
         X, Y, cfg = self._case(name)
@@ -1092,9 +1099,38 @@ class TestInSpanBlocks:
         # a cut at 8.5e-11 leaves some of those remainders inside the
         # margin: those go through the one-column path, which finds them
         # in the span as before
-        monkeypatch.setattr(rbf, "_block_cut", lambda n_basis: 0.85e-10)
+        monkeypatch.setattr(rbf, "_block_cut", lambda n_basis, n: 0.85e-10)
         (_, near), _, near_singles = self._train_spied(monkeypatch, X, Y, cfg)
         assert near.in_span == trace.in_span
         assert near.selected_indices == trace.selected_indices
         assert np.array_equal(near.sse_history, trace.sse_history)
         assert 66 + 2 < near_singles < 100
+
+    @pytest.mark.parametrize("k", [2, 17, 68])
+    def test_one_pass_remainders_stay_within_the_block_margin(self, k):
+        # columns whose part orthogonal to a random orthonormal basis of k rows
+        # of 4096 lies at 0.5e-10 to 1.5e-10 of their norm, around the cut: the
+        # block's one-pass remainder and the one-column path's two-pass
+        # remainder differ by less than the margin _block_cut keeps
+        from gpsdenoise.rbf import _block_cut
+
+        n, cols = 4096, 16
+        rng = np.random.default_rng(k)
+        Q, _ = np.linalg.qr(rng.normal(0.0, 1.0, (n, k + cols)))
+        B = np.ascontiguousarray(Q[:, :k].T)
+        inside = rng.normal(0.0, 1.0, (cols, k)) @ B
+        inside /= np.sqrt(np.einsum("ij,ij->i", inside, inside))[:, None]
+        outside = Q[:, k:].T * np.linspace(0.5e-10, 1.5e-10, cols)[:, None]
+        C = (inside + outside) * rng.uniform(0.1, 10.0, (cols, 1))
+        c_norm = np.sqrt(np.einsum("ij,ij->i", C, C))
+        one_pass = C - (C @ B.T) @ B
+        one_pass = np.sqrt(np.einsum("ij,ij->i", one_pass, one_pass))
+        two_pass = []
+        for c in C:
+            v = c - B.T @ (B @ c)
+            v -= B.T @ (B @ v)
+            two_pass.append(math.sqrt(v @ v))
+        margin = 1e-10 - _block_cut(k, n)
+        assert np.all(np.abs(two_pass / c_norm - np.linspace(0.5e-10, 1.5e-10, cols)) < 1e-12)
+        assert np.all(np.abs(one_pass - two_pass) < margin * c_norm)
+        assert 0 < margin < 5e-12

@@ -345,8 +345,7 @@ def emit_plot_data(result: BenchmarkResult,
     stage i and the final network shows on none. The learned column
     is the final network's output on the training inputs, as run_method
     computed it; the original column is the clean evaluation reference.
-    Each stage network is solved and evaluated once, for all components;
-    the last stage is the result's network, which training already solved.
+    Each stage network is solved and evaluated once, for all components.
     """
     for component in components:
         if component not in COMPONENTS:
@@ -362,8 +361,7 @@ def emit_plot_data(result: BenchmarkResult,
         lo, hi = -(-stage * n // n_stages), -(-(stage + 1) * n // n_stages)
         if lo == hi:
             continue
-        subnet = (result.network if stage == n_stages - 1
-                  else stage_network(result.network, result.trace, stage))
+        subnet = stage_network(result.network, result.trace, stage)
         teaching[lo:hi] = forward(subnet, inputs[lo:hi])
     ref = result.reference
     return [PlotData(comp, ref.timestamps.copy(), ref.samples[:, c].copy(), teaching[:, c],

@@ -48,6 +48,10 @@ _LSTSQ_RCOND = 1e-12
 # magnitude, the drift promotes near-span candidates.
 _RESCORE_FRACTION = 1e-4
 
+# A picked center lies in the span of the earlier design when its part
+# orthogonal to the basis is at most this fraction of its column's norm.
+_SPAN_CUT = 1e-10
+
 
 def _check_spread(spread: float) -> None:
     """Reject a kernel width the activations exp(-r^2 / spread^2) cannot use."""
@@ -130,16 +134,14 @@ class TrainTrace:
     sse_history[k] is the summed squared error after k centers (k = 0 is
     the bias-only model). stop_reason is what stop_reason() returned at
     the last stage. in_span[k - 1] is True when the center added at
-    stage k lay in the span of the earlier design to 1e-10 of its norm: it
-    added no direction and left the error unchanged. n_inputs is the
-    number of training inputs. stage_seconds[k] is the trainer's clock at
-    the end of stage k, in seconds since train() was entered (stage 0
-    ends once the bias-only model and the kernel operator are set up); it
-    is the one field that differs between identical runs. A stage taken
-    from a block of in-span picks ends when the block's verdicts are in,
-    so every stage of a block reads the same clock. A cut keeps its run's
-    clock up to the cut, a block's clock for a cut inside a block, and a
-    timed run the median over repeats.
+    stage k lay in the span of the earlier design to _SPAN_CUT of its
+    norm: it added no direction and left the error unchanged. n_inputs is
+    the number of training inputs. stage_seconds[k] is the trainer's clock
+    at the end of stage k, in seconds since train() was entered, read once
+    when the stage is committed (stage 0 ends once the bias-only model and
+    the kernel operator are set up); it is the one field that differs
+    between identical runs. A cut keeps its run's clock up to the cut, and
+    a timed run the median over repeats.
 
     R is the triangular factor of the final design in the training basis:
     one row per basis vector (bias direction first), one column per center
@@ -356,8 +358,9 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     updates in one product; the products are computed afresh, as the
     product of the residual's part orthogonal to Q, for the first stage and
     again only once the error has fallen 1e4-fold since they last were.
-    Only the final output layer is solved, once, through R on at most k+1
-    rows instead of n; stage_network() solves earlier stages the same way.
+    Only the final output layer is solved, once, by the trace's
+    stage_weights() on at most k+1 rows of R instead of n, as
+    stage_network() solves any earlier stage.
 
     That matrix is reached through kernel_operator(): for 1-D inputs on a
     uniform grid it is never formed, and each product is an FFT
@@ -411,12 +414,12 @@ def _block_cut(n_basis: int, n: int) -> float:
     """Remainder, relative to its column's norm, below which a block product
     puts a column in the span of n_basis basis rows of length n.
 
-    The one-column path's cut is 1e-10, on the remainder of two Gram-Schmidt
-    passes. The block takes one pass, c - (B @ c) @ B, so its remainder of
-    the same column c differs by what the second pass corrects and by both
-    paths' rounding. With k = n_basis, u = eps / 2 and gamma_j = j u / (1 - j u)
-    the bound on a j-term sum in any order (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, ch. 3):
+    The one-column path's cut is _SPAN_CUT, on the remainder of two
+    Gram-Schmidt passes. The block takes one pass, c - (B @ c) @ B, so its
+    remainder of the same column c differs by what the second pass corrects
+    and by both paths' rounding. With k = n_basis, u = eps / 2 and
+    gamma_j = j u / (1 - j u) the bound on a j-term sum in any order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3):
     - B @ c sums n terms per entry, so it rounds by at most sqrt(k) gamma_n |c|.
       That error lies in the span: the second pass removes it, one pass keeps it.
     - (B @ c) @ B sums k terms per entry and rounds by at most
@@ -435,7 +438,7 @@ def _block_cut(n_basis: int, n: int) -> float:
     that much is below it on the one-column path too.
     """
     eps = np.finfo(np.float64).eps
-    return 1e-10 - (math.sqrt(n_basis) * (n / 2 + 2 * n_basis) + n_basis + 1) * eps
+    return _SPAN_CUT - (math.sqrt(n_basis) * (n / 2 + 2 * n_basis) + n_basis + 1) * eps
 
 
 def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
@@ -503,7 +506,6 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     # the state.
     rows = np.empty((2, n))
     outer = np.empty_like(state)
-    spans = False
     run = 0  # in-span stages since the last stage that opened a direction
     # Picks a block product placed in the span, in pick order, each with its
     # column of R; a trailing None sends the block's next pick through the
@@ -516,7 +518,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         B = basis[:n_basis]
         # After a center that opened no direction, residual, cross, cand_norm2
         # and the SSE are as they were, so every score stands but the new pick's.
-        if not spans:
+        if run == 0:
             if sse < _RESCORE_FRACTION * scored_sse:
                 # c_perp . residual for every candidate c, with c_perp the part
                 # of c orthogonal to the current design span: c . r_perp, with
@@ -540,14 +542,13 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         # verdict once the cut allows for that pass's rounding.
         if not queued and (size := min(run, n - k, block_rows)) >= 2:
             block = _next_picks(scores, size)
-            C = _activations(X[block], X, config.spread)  # rows as the one-column path's
+            C = _activations(X[block], X, config.spread)
             c_norm = np.sqrt(np.einsum("ij,ij->i", C, C))
             Rb = C @ B.T
             C -= Rb @ B
             below = np.sqrt(np.einsum("ij,ij->i", C, C)) <= _block_cut(n_basis, n) * c_norm
             accepted = int(np.logical_and.accumulate(below).sum())
             queued = list(zip(block[:accepted].tolist(), Rb)) + [None] * (accepted < size)
-            verdicts_in = time.perf_counter() - start
         entry = queued.pop(0) if queued else None
         if entry is not None:
             idx, R[:n_basis, k] = entry
@@ -556,7 +557,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             idx = int(scores.argmax())
             # Orthogonalise the accepted column against the basis in two
             # Gram-Schmidt passes; its coordinates in the basis become R[:, k].
-            column = _activations(X, X[idx:idx + 1], config.spread)[:, 0]
+            column = _activations(X[idx:idx + 1], X, config.spread)[0]
             r = B @ column
             v = column - B.T @ r
             s = B @ v
@@ -567,7 +568,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             # A column already in the span opens no basis row and leaves the
             # residual, and with it every score, unchanged; the minimum-norm
             # solve sets its weight.
-            spans = norm <= 1e-10 * math.sqrt(column @ column)
+            spans = norm <= _SPAN_CUT * math.sqrt(column @ column)
         picked[k] = idx
         scores[idx] = -np.inf
         in_span.append(spans)
@@ -587,35 +588,36 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
             sse = float(np.vdot(residual, residual))
         k += 1
         sse_history.append(sse)
-        # a stage accepted from a block ends when the block's verdicts are in
-        clock.append(time.perf_counter() - start if entry is None else verdicts_in)
+        clock.append(time.perf_counter() - start)
 
-    # The final output layer is solved once, on the trace's R as built.
-    R = np.column_stack([R[:n_basis, :k], R[:n_basis, max_centers]])
-    coef = coef[:n_basis].copy()
-    weights, centered_bias = solve_output_weights(R, coef)
     trace = TrainTrace(
         sse_history=np.asarray(sse_history),
         selected_indices=picked[:k].tolist(),
         stop_reason=reason,
         in_span=in_span,
-        R=R,
-        coef=coef,
+        R=np.column_stack([R[:n_basis, :k], R[:n_basis, max_centers]]),
+        coef=coef[:n_basis].copy(),
         target_means=target_means,
         n_inputs=n,
         stage_seconds=np.asarray(clock),
     )
+    # The final output layer is solved once, as any stage's is.
+    weights, bias = trace.stage_weights(k)
     net = RbfNetwork(
         centers=_frozen(X[picked[:k]]),
         spread=config.spread,
-        output_weights=_frozen(weights),
-        output_bias=_frozen(centered_bias + target_means),
+        output_weights=weights,
+        output_bias=bias,
     )
     return net, trace
 
 
 def stage_network(net: RbfNetwork, trace: TrainTrace, stage: int) -> RbfNetwork:
-    """Network as it stood after `stage` centers (stage 0 = bias only)."""
+    """Network as it stood after `stage` centers (stage 0 = bias only), for
+    the run's network `net` and its trace: `net` itself at the trace's last
+    stage, else solved from the trace by TrainTrace.stage_weights."""
+    if stage == len(trace.in_span):
+        return net
     weights, bias = trace.stage_weights(stage)
     return RbfNetwork(
         centers=net.centers[:stage],
@@ -632,13 +634,12 @@ def cut_run(net: RbfNetwork, trace: TrainTrace,
 
     The cut ends at the first stage where stop_reason() stops `config`;
     its trace holds R's leading block and the prefix of the run's stage
-    clock, and a shorter cut's output layer is solved through that trace
-    by stage_network(). A cut at the run's own last stage keeps the run's
-    network. Every field but stage_seconds equals that of a standalone
-    run, because the greedy run is nested in its budget and goal; the run
-    may itself be a cut of a longer one. Raises ValueError for another
-    spread, or when the run stopped on its own budget or goal before
-    `config` stops.
+    clock, and its network is stage_network() of the run at that stage,
+    the run's own network at its last stage. Every field but stage_seconds
+    equals that of a standalone run, because the greedy run is nested in
+    its budget and goal; the run may itself be a cut of a longer one.
+    Raises ValueError for another spread, or when the run stopped on its
+    own budget or goal before `config` stops.
     """
     if config.spread != net.spread:
         raise ValueError(f"a run at spread {net.spread:g} cannot give spread {config.spread:g}")
@@ -662,4 +663,4 @@ def cut_run(net: RbfNetwork, trace: TrainTrace,
         n_inputs=trace.n_inputs,
         stage_seconds=trace.stage_seconds[:stage + 1].copy(),
     )
-    return (net if stage == last else stage_network(net, cut, stage)), cut
+    return stage_network(net, trace, stage), cut

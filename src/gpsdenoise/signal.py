@@ -6,6 +6,7 @@ position component (north, east, altitude), all in meters.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -257,8 +258,7 @@ def read_series(path: str | Path) -> PositionSeries:
     column), or a non-uniform time axis.
     """
     names = ("t",) + COMPONENTS
-    times: list[float] = []
-    rows: list[list[float]] = []
+    values = array("d")  # every cell, row after row
     header_seen = False
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -279,23 +279,23 @@ def read_series(path: str | Path) -> PositionSeries:
                     f"line {lineno}: expected 4 columns ({','.join(names)}), found {len(cells)}",
                     line=lineno,
                 )
-            parsed = []
             for name, cell in zip(names, cells):
                 try:
-                    parsed.append(float(cell))
+                    values.append(float(cell))
                 except ValueError:
                     raise SeriesFormatError(
                         f"line {lineno}, column {name}: not a number: '{cell}'",
                         line=lineno,
                         column=name,
                     ) from None
-            times.append(parsed[0])
-            rows.append(parsed[1:])
     if not header_seen:
         raise SeriesFormatError("missing header line", line=1)
-    if not rows:
+    if not values:
         raise SeriesFormatError("no data rows", line=1)
+    table = np.frombuffer(values).reshape(-1, 4)
+    columns = _frozen(table[:, 0].copy()), _frozen(table[:, 1:].copy())
+    del table, values  # the buffer is freed before PositionSeries checks the columns
     try:
-        return PositionSeries(_frozen(np.array(times)), _frozen(np.array(rows)))
+        return PositionSeries(*columns)
     except ValueError as exc:
         raise SeriesFormatError(f"invalid series data: {exc}") from exc

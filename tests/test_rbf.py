@@ -340,14 +340,22 @@ class TestTrain:
         for seed, spread in ((44, 0.2), (45, 3.0)):  # 3.0: mostly in-span columns
             X, Y = _random_problem(seed, n=25, d=1, m=3)
             net, trace = train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=12, spread=spread))
-            same = stage_network(net, trace, net.n_centers)
-            assert same.spread == net.spread
-            for name in ("centers", "output_weights", "output_bias"):
-                a, b = getattr(same, name), getattr(net, name)
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            # the layer the trace solves for its last stage, bit for bit
+            weights, bias = trace.stage_weights(net.n_centers)
+            for a, b in ((weights, net.output_weights), (bias, net.output_bias)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
             for stage in (-1, net.n_centers + 1):
                 with pytest.raises(ValueError, match="stage"):
                     stage_network(net, trace, stage)
+
+    def test_last_stage_network_is_the_run_itself(self):
+        # a trained run and a cut of it, which solves a network of its own
+        X, Y = _random_problem(44, n=25, d=1, m=3)
+        run = train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=12, spread=0.2))
+        cut = cut_run(*run, TrainConfig(sse_goal=0.0, max_neurons=7, spread=0.2))
+        assert cut[0] is not run[0]
+        for net, trace in (run, cut):
+            assert stage_network(net, trace, len(trace.in_span)) is net
 
     def test_stage_network_reconstruction(self):
         X, Y = _random_problem(51, n=15, d=1, m=2)
@@ -1004,7 +1012,8 @@ class TestInSpanBlocks:
     def _train_spied(monkeypatch, X, Y, cfg):
         """train() through an operator built beforehand, recording the
         activation calls it makes: each block of picks as (center rows,
-        activation rows), and the number of one-column evaluations."""
+        activation rows), and the number of one-column evaluations, each
+        the one row of its pick."""
         from gpsdenoise import rbf
 
         op = kernel_operator(X, cfg.spread)
@@ -1013,11 +1022,11 @@ class TestInSpanBlocks:
 
         def spy(inputs, centers, spread):
             out = activations(inputs, centers, spread)
-            if inputs.shape[0] < X.shape[0]:
+            assert centers.shape[0] == X.shape[0]
+            if inputs.shape[0] > 1:
                 blocks.append((inputs, out.copy()))  # the trainer reuses it as scratch
             else:
-                assert centers.shape[0] == 1
-                singles.append(centers)
+                singles.append(inputs)
             return out
 
         monkeypatch.setattr(rbf, "_activations", spy)
@@ -1071,16 +1080,24 @@ class TestInSpanBlocks:
         scores[3] = np.nan  # argmax's order is NaN first: no block picks
         assert _next_picks(scores, 5).size == 0
 
-    def test_a_cut_inside_a_block_equals_its_standalone_run(self):
+    def test_a_cut_inside_a_block_equals_its_standalone_run(self, monkeypatch):
         # the spread-100 conventional cell is in-span from its 21st stage on;
         # blocks of 2, 4, 8 and 16 picks follow two one-column stages, so
-        # the last of them holds stages 37 to 52. A budget inside it, even
+        # the fourth of them holds stages 37 to 52. A budget inside it, even
         # at its first stage, leaves the block as it is.
         X, Y = _default_problem()
-        run = train(X, Y, TrainConfig(1e-6, 100, 100.0))
-        assert run[1].in_span.index(True) == 20 and all(run[1].in_span[20:])
-        clock = run[1].stage_seconds
-        assert clock[36] < clock[37] == clock[50] == clock[52] < clock[53]
+        cfg = TrainConfig(1e-6, 100, 100.0)
+        run, blocks, _ = self._train_spied(monkeypatch, X, Y, cfg)
+        trace = run[1]
+        assert trace.in_span.index(True) == 20 and all(trace.in_span[20:])
+        stage = 23
+        for (centers, _), size in zip(blocks, (2, 4, 8, 16)):
+            # stages stage .. stage + size - 1 take the block's picks
+            picks = trace.selected_indices[stage - 1:stage - 1 + size]
+            assert np.array_equal(centers, X[picks])
+            stage += size
+        assert stage == 53
+        assert np.all(np.diff(trace.stage_seconds) >= 0)
         for budget in (37, 50):
             cfg = TrainConfig(1e-6, budget, 100.0)
             assert_same_run(cut_run(*run, cfg), train(X, Y, cfg))
@@ -1112,7 +1129,7 @@ class TestInSpanBlocks:
         # of 4096 lies at 0.5e-10 to 1.5e-10 of their norm, around the cut: the
         # block's one-pass remainder and the one-column path's two-pass
         # remainder differ by less than the margin _block_cut keeps
-        from gpsdenoise.rbf import _block_cut
+        from gpsdenoise.rbf import _SPAN_CUT, _block_cut
 
         n, cols = 4096, 16
         rng = np.random.default_rng(k)
@@ -1130,7 +1147,7 @@ class TestInSpanBlocks:
             v = c - B.T @ (B @ c)
             v -= B.T @ (B @ v)
             two_pass.append(math.sqrt(v @ v))
-        margin = 1e-10 - _block_cut(k, n)
+        margin = _SPAN_CUT - _block_cut(k, n)
         assert np.all(np.abs(two_pass / c_norm - np.linspace(0.5e-10, 1.5e-10, cols)) < 1e-12)
         assert np.all(np.abs(one_pass - two_pass) < margin * c_norm)
         assert 0 < margin < 5e-12

@@ -31,8 +31,10 @@ from .signal import (
     PositionSeries,
     Sinusoid,
     TrajectoryConfig,
+    _frozen,
     generate_trajectory,
     add_noise,
+    mse,
     write_csv,
 )
 
@@ -120,11 +122,11 @@ class BenchmarkResult:
     run_method). filter_seconds reports the band-selection cost
     separately: the one timed selection of the noisy series' band (zero
     for the conventional method). outputs is the network output on the
-    reference's full-rate time axis, read-only; output_mse compares it
-    against the clean reference (band-filtered clean reference for the
-    improved method). The trace is the training's on its grid decimated
-    by M = config.decimation, so its SSE history sums over every M-th
-    sample; final_sse scales it to the full grid.
+    reference's full-rate time axis, read-only; output_mse is signal.mse
+    of it against the reference's samples: the clean series, or its band
+    for the improved method. The trace is the training's on its grid
+    decimated by M = config.decimation, so its SSE history sums over every
+    M-th sample; final_sse scales it to the full grid.
     """
 
     config: MethodConfig
@@ -248,11 +250,9 @@ def run_method(config: MethodConfig, repeats: int = 1,
 def _result(config: MethodConfig, elapsed: float, filter_seconds: float, trace: TrainTrace,
             net: RbfNetwork, reference: PositionSeries) -> BenchmarkResult:
     """The result of `net` scored on the time axis and samples of `reference`."""
-    outputs = forward(net, reference.timestamps[:, None])
-    outputs.flags.writeable = False
-    output_mse = float(np.mean((outputs - reference.samples) ** 2))
-    return BenchmarkResult(config, elapsed, filter_seconds, output_mse, trace, net, outputs,
-                           reference)
+    outputs = _frozen(forward(net, reference.timestamps[:, None]))
+    return BenchmarkResult(config, elapsed, filter_seconds, mse(outputs, reference.samples),
+                           trace, net, outputs, reference)
 
 
 def build_grid(

@@ -221,11 +221,12 @@ def add_noise(series: PositionSeries, noise: NoiseConfig) -> PositionSeries:
     return PositionSeries(series.timestamps, _frozen(samples))
 
 
-def mse(a: PositionSeries, b: PositionSeries) -> float:
-    """Mean squared difference over all n*3 entries."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    d = a.samples - b.samples
+def mse(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean squared difference over every entry of two equal-shape sample
+    arrays: the score every run reports (pipeline's output_mse)."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    d = a - b
     return float(np.mean(d * d))
 
 

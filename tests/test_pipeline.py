@@ -68,6 +68,12 @@ class TestMethodConfig:
             assert replace(config, band=band).method == "improved"
 
 
+# Noise seeds at which the comparable-accuracy check misses its 2x bound, with
+# their improved/conventional MSE ratio: the improved fit scores 5.9e-3 to
+# 6.4e-3 at every seed, but here the conventional one reaches 1.6e-3 to 1.7e-3.
+_LOW_BAND_MISSES = {1: 3.66, 6: 3.86, 9: 3.75}
+
+
 class TestRunMethod:
     def test_noiseless_interpolation(self):
         traj = TrajectoryConfig(
@@ -84,7 +90,11 @@ class TestRunMethod:
         result = run_method(cfg)
         assert result.output_mse <= 1e-8
 
-    def test_all_energy_in_low_band_comparable_accuracy(self):
+    @pytest.mark.parametrize("seed", [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=(
+            f"ROADMAP items 5 and 6: improved/conventional MSE is {_LOW_BAND_MISSES[seed]}")))
+        if seed in _LOW_BAND_MISSES else seed for seed in (77, *range(1, 11))])
+    def test_all_energy_in_low_band_comparable_accuracy(self, seed):
         # clean signal entirely below the low cutoff: filtering must not
         # change the achievable accuracy by more than a factor of two
         traj = TrajectoryConfig(
@@ -94,7 +104,7 @@ class TestRunMethod:
             offset=(10.0, -5.0, 30.0),
         )
         tc = TrainConfig(sse_goal=0.0, max_neurons=12, spread=12.0)
-        noise = NoiseConfig(sigma=0.02, seed=77)
+        noise = NoiseConfig(sigma=0.02, seed=seed)
         spec = BandSpec(0.05, 0.3)
         conv = MethodConfig(train=tc, noise=noise, trajectory=traj, band_spec=spec)
         impr = MethodConfig(band="low", train=tc, noise=noise, trajectory=traj, band_spec=spec)

@@ -208,30 +208,28 @@ class TestAddNoise:
 
 class TestMse:
     def test_identity_is_zero(self):
-        s = _random_series(4)
-        assert mse(s, s) == 0.0
+        x = _random_series(4).samples
+        assert mse(x, x) == 0.0
 
     def test_unit_offset(self):
         n = 17
-        a = PositionSeries(np.arange(n, dtype=float), np.zeros((n, 3)))
-        b = PositionSeries(np.arange(n, dtype=float), np.ones((n, 3)))
-        assert mse(a, b) == 1.0
+        assert mse(np.zeros((n, 3)), np.ones((n, 3))) == 1.0
 
     def test_matches_bruteforce_oracle(self):
-        a, b = _random_series(5), _random_series(6)
+        a, b = _random_series(5).samples, _random_series(6).samples
         total = 0.0
-        for i in range(len(a)):
+        for i in range(a.shape[0]):
             for c in range(3):
-                total += (a.samples[i, c] - b.samples[i, c]) ** 2
-        assert mse(a, b) == pytest.approx(total / (len(a) * 3), rel=1e-12)
+                total += (a[i, c] - b[i, c]) ** 2
+        assert mse(a, b) == pytest.approx(total / (a.shape[0] * 3), rel=1e-12)
 
     def test_symmetric(self):
-        a, b = _random_series(7), _random_series(8)
+        a, b = _random_series(7).samples, _random_series(8).samples
         assert mse(a, b) == mse(b, a)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            mse(_random_series(9, n=10), _random_series(9, n=11))
+        with pytest.raises(ValueError, match="shape"):
+            mse(_random_series(9, n=10).samples, _random_series(9, n=11).samples)
 
 
 class TestSeriesIO:

@@ -30,6 +30,7 @@ from .pipeline import (
     DEFAULT_TRAIN,
     DEFAULT_TRAJECTORY,
     FILTERS,
+    REPORT_COLUMNS,
     MethodConfig,
     build_grid,
     emit_plot_data,
@@ -306,12 +307,8 @@ def cmd_plot_data(args) -> int:
     _write_manifest(
         out_dir / f"plot_{tag}_manifest.json", "plot-data",
         {"trajectory": trajectory, "noise": noise, "band_spec": band_spec, "plot-data": plot},
-        metrics={
-            "output_mse": result.output_mse,
-            "final_sse": result.final_sse,
-            "neurons_used": result.network.n_centers,
-            "decimation": config.decimation,
-        },
+        metrics={name: figure(result) for name, figure in REPORT_COLUMNS
+                 if name in ("output_mse", "final_sse", "neurons_used", "decimation")},
     )
     for path in written:
         print(path)

@@ -369,38 +369,43 @@ def emit_plot_data(result: BenchmarkResult,
             for comp, c in zip(components, map(COMPONENTS.index, components))]
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-# The report's columns in order, each with the cell it writes for a result:
-# the run's settings, its timings and fit (final_sse on the full-rate
-# grid), why training stopped, how many stages lowered the error, the
-# largest output weight and the decimation of the training grid.
+# The report's columns in order, each with the figure it reads off a result:
+# the run's settings, its timings and fit (final_sse on the full-rate grid),
+# why training stopped, how many stages lowered the error, the largest output
+# weight and the decimation of the training grid. A figure is a float, an
+# int or a str; the report and the plot-data manifest both read it here. A
+# float figure is cast with float(), so a spread given as 30 still reads 30.0
+# and a NumPy scalar serialises as a plain float.
 REPORT_COLUMNS = (
     ("method", lambda r: r.config.method),
     ("band", lambda r: r.config.band),
-    ("max_neurons", lambda r: str(r.config.train.max_neurons)),
-    ("spread", lambda r: _fmt(r.config.train.spread)),
-    ("sse_goal", lambda r: _fmt(r.config.train.sse_goal)),
-    ("seed", lambda r: str(r.config.noise.seed)),
-    ("elapsed_s", lambda r: _fmt(r.elapsed_train_seconds)),
-    ("filter_s", lambda r: _fmt(r.filter_seconds)),
-    ("neurons_used", lambda r: str(r.network.n_centers)),
-    ("final_sse", lambda r: _fmt(r.final_sse)),
-    ("output_mse", lambda r: _fmt(r.output_mse)),
+    ("max_neurons", lambda r: r.config.train.max_neurons),
+    ("spread", lambda r: float(r.config.train.spread)),
+    ("sse_goal", lambda r: float(r.config.train.sse_goal)),
+    ("seed", lambda r: r.config.noise.seed),
+    ("elapsed_s", lambda r: float(r.elapsed_train_seconds)),
+    ("filter_s", lambda r: float(r.filter_seconds)),
+    ("neurons_used", lambda r: r.network.n_centers),
+    ("final_sse", lambda r: float(r.final_sse)),
+    ("output_mse", lambda r: float(r.output_mse)),
     ("stop_reason", lambda r: r.trace.stop_reason),
-    ("useful_stages", lambda r: str(int(np.count_nonzero(np.diff(r.trace.sse_history) < 0)))),
-    ("weight_absmax", lambda r: _fmt(np.abs(r.network.output_weights).max(initial=0.0))),
-    ("decimation", lambda r: str(r.config.decimation)),
+    ("useful_stages", lambda r: int(np.count_nonzero(np.diff(r.trace.sse_history) < 0))),
+    ("weight_absmax", lambda r: float(np.abs(r.network.output_weights).max(initial=0.0))),
+    ("decimation", lambda r: r.config.decimation),
 )
 REPORT_HEADER = ",".join(name for name, _ in REPORT_COLUMNS)
 
 
+def _cell(value) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
-    """Write the benchmark table as CSV: REPORT_HEADER, then one row of
-    REPORT_COLUMNS cells per result, in grid order."""
-    rows = [REPORT_HEADER] + [",".join(cell(r) for _, cell in REPORT_COLUMNS) for r in results]
+    """Write the benchmark table as CSV: REPORT_HEADER, then one row per
+    result, in grid order, with each REPORT_COLUMNS figure written as a cell
+    (a float as its repr, anything else as its str)."""
+    rows = [REPORT_HEADER] + [",".join(_cell(figure(r)) for _, figure in REPORT_COLUMNS)
+                              for r in results]
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 
 

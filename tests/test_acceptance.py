@@ -6,6 +6,7 @@ and its results are shared by criteria 2 and 3; expect a few minutes of
 wall time for the whole module.
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -55,7 +56,10 @@ def test_criterion_1_speedup_trend(grid_results):
         if impr.elapsed_train_seconds >= conv.elapsed_train_seconds:
             every_cell_faster = False
     geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-    detail = "ratios " + " ".join(f"{r:.2f}" for r in ratios) + f", geomean {geomean:.2f}"
+    # the ratios depend on how many threads BLAS splits a product over
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    detail = ("ratios " + " ".join(f"{r:.2f}" for r in ratios)
+              + f", geomean {geomean:.2f}, OPENBLAS_NUM_THREADS={threads}")
     _report("1 speedup-trend", every_cell_faster and geomean >= 1.5, detail)
 
 

@@ -787,12 +787,19 @@ class TestKernelOperator:
         monkeypatch.setattr(rbf, "DenseKernel", refuse)
         assert isinstance(kernel_operator(_grid(100_000), 1.0), ToeplitzKernel)
 
-    # Dense-path inputs with the indices and stop rule they selected before
-    # the operator seam existed.
+    # Dense-path inputs with the indices they select; the first three as
+    # they selected them before the operator seam existed.
     DENSE_CASES = {
         "2d": [7, 0, 5, 8, 11, 4, 10, 3],
         "jittered": [39, 6, 16, 38, 32, 37, 36, 31, 29, 10, 28, 3, 20, 26, 35],
         "single": [],
+        # overlapping kernels: all 60 picks open a basis row, and scores
+        # perturbed by 1e-4 of their value already move one
+        "sorted300": [15, 59, 115, 245, 294, 165, 263, 201, 84, 136, 229, 0, 35, 227, 299,
+                      180, 128, 69, 97, 288, 129, 53, 156, 1, 253, 98, 135, 45, 275, 160,
+                      298, 297, 120, 171, 119, 191, 228, 18, 183, 192, 234, 147, 166, 172,
+                      161, 195, 155, 127, 116, 111, 107, 104, 101, 204, 292, 235, 217, 241,
+                      249, 255],
     }
 
     @staticmethod
@@ -806,6 +813,12 @@ class TestKernelOperator:
             x = np.arange(40) * 0.1 + rng.uniform(-1e-9, 1e-9, 40)
             return (x[:, None], rng.normal(0, 1, (40, 2)),
                     TrainConfig(sse_goal=0.0, max_neurons=15, spread=0.3))
+        if name == "sorted300":
+            rng = np.random.default_rng(2027)
+            x = np.sort(rng.uniform(0, 30, 300))
+            targets = np.column_stack([np.sin(x), np.cos(0.5 * x), 0.1 * x])
+            return (x[:, None], targets + rng.normal(0, 0.05, (300, 3)),
+                    TrainConfig(0.0, 60, 1.5))
         return np.array([[0.5]]), np.array([[1.0, 2.0]]), TrainConfig(0.0, 3, 1.0)
 
     @pytest.mark.parametrize("name", sorted(DENSE_CASES))

@@ -17,9 +17,10 @@ Candidate scoring reads the n x n candidate kernel matrix only through a
 kernel operator. Inputs on a uniform 1-D grid (the time axis of a sampled
 series) get ToeplitzKernel, which stores one kernel column and multiplies
 by FFT in O(n log n) time and O(n) memory; any other inputs get
-DenseKernel, which holds the full matrix. The operators only multiply:
-every kernel value, the picked center's column included, comes from
-_activations, the evaluator forward() uses. The trainer keeps everything it
+DenseKernel, which holds the full matrix. An operator gives only products
+and the candidates' starting norms (centered_norms2): every other kernel
+value, the picked center's column included, comes from _activations, the
+evaluator forward() uses. The trainer keeps everything it
 holds per output column (residual, candidate products) as contiguous rows
 of length n, and the operators multiply along the last axis, so a product
 takes one (n,) vector or an (r, n) block of rows.
@@ -168,12 +169,14 @@ class TrainTrace:
         rows = 1 + stage - sum(self.in_span[:stage])
         return np.column_stack([self.R[:rows, :stage], self.R[:rows, -1]]), self.coef[:rows]
 
-    def stage_weights(self, stage: int) -> tuple[np.ndarray, np.ndarray]:
-        """(output_weights, output_bias) after `stage` centers: the minimum-norm
-        least-squares solution of that stage's design, solved on R's leading block.
-        Both are fresh and read-only, so an RbfNetwork shares them."""
+    def network(self, centers: np.ndarray, spread: float, stage: int) -> RbfNetwork:
+        """The network after `stage` centers, for the run's centers in pick
+        order and its spread: the first `stage` centers, with the minimum-norm
+        least-squares output layer of that stage's design, solved on R's
+        leading block."""
         weights, centered_bias = solve_output_weights(*self._factor(stage))
-        return _frozen(weights), _frozen(centered_bias + self.target_means)
+        return RbfNetwork(centers=centers[:stage], spread=spread, output_weights=_frozen(weights),
+                          output_bias=_frozen(centered_bias + self.target_means))
 
 
 def _activations(X: np.ndarray, centers: np.ndarray, spread: float) -> np.ndarray:
@@ -222,14 +225,12 @@ class DenseKernel:
         """K @ v for every row v of V: V @ K for V of shape (r, n) or (n,)."""
         return V @ self.matrix
 
-    def constant_projection(self) -> np.ndarray:
-        """Every column's projection on the unit constant vector: column sums / sqrt(n)."""
+    def centered_norms2(self) -> np.ndarray:
+        """Squared norm of every column's part orthogonal to the constant vector:
+        its squared norm less the square of its projection on the unit constant."""
         n = self.matrix.shape[0]
-        return np.full(n, 1.0 / np.sqrt(n)) @ self.matrix
-
-    def column_norms2(self) -> np.ndarray:
-        """Squared Euclidean norm of every column."""
-        return np.einsum("ij,ij->j", self.matrix, self.matrix)
+        projection = np.full(n, 1.0 / np.sqrt(n)) @ self.matrix
+        return np.einsum("ij,ij->j", self.matrix, self.matrix) - projection ** 2
 
 
 class ToeplitzKernel:
@@ -261,13 +262,12 @@ class ToeplitzKernel:
         prefix = np.cumsum(values)
         return prefix + prefix[::-1] - values[0]
 
-    def constant_projection(self) -> np.ndarray:
-        """Every column's projection on the unit constant vector: column sums / sqrt(n)."""
-        return self._symmetric_sums(self._c) * (1.0 / np.sqrt(self._c.size))
-
-    def column_norms2(self) -> np.ndarray:
-        """Squared Euclidean norm of every column."""
-        return self._symmetric_sums(self._c * self._c)
+    def centered_norms2(self) -> np.ndarray:
+        """Squared norm of every column's part orthogonal to the constant vector:
+        its squared norm less the square of its projection on the unit constant."""
+        c = self._c
+        projection = self._symmetric_sums(c) * (1.0 / np.sqrt(c.size))
+        return self._symmetric_sums(c * c) - projection ** 2
 
 
 def kernel_operator(X: np.ndarray, spread: float) -> DenseKernel | ToeplitzKernel:
@@ -312,7 +312,7 @@ def solve_output_weights(design: np.ndarray, targets: np.ndarray) -> tuple[np.nd
     """Least-squares output layer for a design matrix with trailing bias column.
 
     design: (r, k+1) with k activation columns followed by the bias column
-    (all ones for the n-row design; TrainTrace.stage_weights passes an
+    (all ones for the n-row design; TrainTrace.network passes an
     r <= k+1 row block of the factor R instead); targets: (r, m), also for
     m = 1. Any other shape is a ValueError. Returns weights (k, m) and
     bias (m,) minimizing the Frobenius residual; rank-deficient
@@ -359,7 +359,7 @@ def train(inputs, targets, config: TrainConfig) -> tuple[RbfNetwork, TrainTrace]
     product of the residual's part orthogonal to Q, for the first stage and
     again only once the error has fallen 1e4-fold since they last were.
     Only the final output layer is solved, once, by the trace's
-    stage_weights() on at most k+1 rows of R instead of n, as
+    network() on at most k+1 rows of R instead of n, as
     stage_network() solves any earlier stage.
 
     That matrix is reached through kernel_operator(): for 1-D inputs on a
@@ -485,7 +485,7 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
     basis[0] = 1.0 / np.sqrt(n)
     n_basis = 1
     # Floored where rounding leaves nothing of a column.
-    cand_norm2 = op.column_norms2() - op.constant_projection() ** 2
+    cand_norm2 = op.centered_norms2()
     np.maximum(cand_norm2, 1e-300, out=cand_norm2)
     scored_sse = np.inf  # SSE when cross was last computed from the residual; none yet
     scores = np.empty(n)
@@ -602,29 +602,16 @@ def _greedy_train(X: np.ndarray, Y: np.ndarray, config: TrainConfig,
         stage_seconds=np.asarray(clock),
     )
     # The final output layer is solved once, as any stage's is.
-    weights, bias = trace.stage_weights(k)
-    net = RbfNetwork(
-        centers=_frozen(X[picked[:k]]),
-        spread=config.spread,
-        output_weights=weights,
-        output_bias=bias,
-    )
-    return net, trace
+    return trace.network(_frozen(X[picked[:k]]), config.spread, k), trace
 
 
 def stage_network(net: RbfNetwork, trace: TrainTrace, stage: int) -> RbfNetwork:
     """Network as it stood after `stage` centers (stage 0 = bias only), for
     the run's network `net` and its trace: `net` itself at the trace's last
-    stage, else solved from the trace by TrainTrace.stage_weights."""
+    stage, else solved from the trace by TrainTrace.network."""
     if stage == len(trace.in_span):
         return net
-    weights, bias = trace.stage_weights(stage)
-    return RbfNetwork(
-        centers=net.centers[:stage],
-        spread=net.spread,
-        output_weights=weights,
-        output_bias=bias,
-    )
+    return trace.network(net.centers, net.spread, stage)
 
 
 def cut_run(net: RbfNetwork, trace: TrainTrace,

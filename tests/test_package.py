@@ -22,12 +22,17 @@ def test_bare_import_loads_no_numpy_and_no_submodule():
     assert out.strip() == "[]"
 
 
-def test_version_matches_the_project_metadata():
-    # a regex, not tomllib: the package supports Python 3.10, which has no tomllib
+def test_version_is_stated_once_in_the_package():
+    # the project metadata reads __version__; a regex, not tomllib: the
+    # package supports Python 3.10, which has no tomllib
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
-    version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE).group(1)
-    assert gpsdenoise.__version__ == version
+    assert re.search(r'^dynamic\s*=\s*\["version"\]', project, re.MULTILINE)
+    assert not re.search(r"^version\s*=", project, re.MULTILINE)
+    dynamic = pyproject.split("[tool.setuptools.dynamic]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version\s*=\s*\{\s*attr\s*=\s*"gpsdenoise.__version__"\s*\}',
+                     dynamic, re.MULTILINE)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", gpsdenoise.__version__)
 
 
 def test_readme_library_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):

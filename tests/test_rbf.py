@@ -340,10 +340,11 @@ class TestTrain:
         for seed, spread in ((44, 0.2), (45, 3.0)):  # 3.0: mostly in-span columns
             X, Y = _random_problem(seed, n=25, d=1, m=3)
             net, trace = train(X, Y, TrainConfig(sse_goal=0.0, max_neurons=12, spread=spread))
-            # the layer the trace solves for its last stage, bit for bit
-            weights, bias = trace.stage_weights(net.n_centers)
-            for a, b in ((weights, net.output_weights), (bias, net.output_bias)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            # the network the trace builds for its last stage, bit for bit
+            rebuilt = trace.network(net.centers, net.spread, net.n_centers)
+            for name in ("centers", "output_weights", "output_bias"):
+                a, b = getattr(rebuilt, name), getattr(net, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
             for stage in (-1, net.n_centers + 1):
                 with pytest.raises(ValueError, match="stage"):
                     stage_network(net, trace, stage)
@@ -700,9 +701,13 @@ class TestKernelOperator:
         dense = DenseKernel(X, spread)
         V = np.random.default_rng(n).normal(0.0, 1.0, (4, n))
         assert _rel_dev(op.matmul(V), dense.matmul(V)) <= 1e-12
-        sums = op.constant_projection() * np.sqrt(n)
-        assert _rel_dev(sums, dense.matrix.sum(axis=0)) <= 1e-12
-        assert _rel_dev(op.column_norms2(), dense.column_norms2()) <= 1e-12
+        # squared norms less the squared projections on the unit constant;
+        # small centered norms cancel, so the bound is on the largest norm
+        M = dense.matrix
+        norms2 = np.einsum("ij,ij->j", M, M)
+        oracle = norms2 - M.sum(axis=0) ** 2 / n
+        assert np.max(np.abs(op.centered_norms2() - oracle)) <= 1e-12 * norms2.max()
+        assert np.max(np.abs(dense.centered_norms2() - oracle)) <= 1e-12 * norms2.max()
         for j in {0, 1, n // 2, n - 1}:
             # the trainer's column is the dense build's, bit for bit
             assert np.array_equal(_activations(X, X[j:j + 1], spread)[:, 0], dense.matrix[:, j])
@@ -775,6 +780,20 @@ class TestKernelOperator:
             assert_same_run(shared, fresh)
         for name, value in vars(op).items():
             assert np.array_equal(value, built[name]), name
+
+    @pytest.mark.parametrize("kind", [ToeplitzKernel, DenseKernel])
+    def test_the_trainer_reads_only_products_and_centered_norms(self, kind):
+        # the trainer's whole use of an operator: a stub with nothing else
+        # trains the same run as the operator it forwards to
+        class Products:
+            def __init__(self, op):
+                self.matmul, self.centered_norms2 = op.matmul, op.centered_norms2
+
+        X = _default_problem()[0][:512]
+        Y = _default_problem("mid")[1][:512]
+        cfg = TrainConfig(sse_goal=1e-6, max_neurons=40, spread=5.0)
+        stub = _greedy_train(X, Y, cfg, Products(kind(X, cfg.spread)), time.perf_counter())
+        assert_same_run(stub, _greedy_train(X, Y, cfg, kind(X, cfg.spread), time.perf_counter()))
 
     def test_generated_grid_of_100k_samples_never_builds_the_dense_kernel(self, monkeypatch):
         # _grid is the time axis generate_trajectory writes; the dense kernel

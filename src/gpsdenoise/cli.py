@@ -31,7 +31,6 @@ from .pipeline import (
     DEFAULT_TRAJECTORY,
     FILTERS,
     REPORT_COLUMNS,
-    MethodConfig,
     build_grid,
     emit_plot_data,
     run_method,
@@ -39,7 +38,6 @@ from .pipeline import (
     write_plot_data,
     write_report,
 )
-from .rbf import TrainConfig
 from .signal import (
     COMPONENTS,
     NoiseConfig,
@@ -243,8 +241,8 @@ def _csv_list(text: str, cast) -> list:
         raise argparse.ArgumentTypeError(f"malformed list: '{text}'") from None
 
 
-def cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_generate(args, cfg: dict) -> list[Path]:
+    """Write the series CSV and its manifest; return [the CSV]."""
     trajectory, noise, _ = _resolve_common(cfg, args)
     noisy = args.noisy or cfg.get("noisy", _SCHEMA["noisy"].default)
     out_dir = Path(args.out_dir)
@@ -259,12 +257,12 @@ def cmd_generate(args) -> int:
     write_series(series, out)
     _write_manifest(out.with_suffix(".manifest.json"), "generate",
                     {"trajectory": trajectory, "noise": noise, "noisy": noisy})
-    print(out)
-    return 0
+    return [out]
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_bench(args, cfg: dict) -> list[Path]:
+    """Run the grid build_grid makes of the settings, write the report and the
+    manifest; return [the report]."""
     trajectory, noise, band_spec = _resolve_common(cfg, args)
     bench = _section(cfg, "bench", args)
 
@@ -279,20 +277,18 @@ def cmd_bench(args) -> int:
     _write_manifest(out_dir / "bench_manifest.json", "bench",
                     {"trajectory": trajectory, "noise": noise, "band_spec": band_spec,
                      "bench": bench})
-    print(report_path)
-    return 0
+    return [report_path]
 
 
-def cmd_plot_data(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_plot_data(args, cfg: dict) -> list[Path]:
+    """Run the config bench builds for this one cell and band (the last run of
+    a one-cell build_grid grid), write a plot CSV per component and the
+    manifest; return the CSVs in component order."""
     trajectory, noise, band_spec = _resolve_common(cfg, args)
     plot = _section(cfg, "plot-data", args)
 
-    config = MethodConfig(
-        train=TrainConfig(sse_goal=plot["sse"], max_neurons=plot["nnsize"],
-                          spread=plot["spread"]),
-        noise=noise, trajectory=trajectory, band=plot["filter"], band_spec=band_spec,
-    )
+    config = build_grid([plot["nnsize"]], [plot["spread"]], [plot["sse"]], [plot["filter"]],
+                        band_spec, noise, trajectory)[-1]
     result = run_method(config)
 
     out_dir = Path(args.out_dir)
@@ -310,9 +306,7 @@ def cmd_plot_data(args) -> int:
         metrics={name: figure(result) for name, figure in REPORT_COLUMNS
                  if name in ("output_mse", "final_sse", "neurons_used", "decimation")},
     )
-    for path in written:
-        print(path)
-    return 0
+    return written
 
 
 class _Parser(argparse.ArgumentParser):
@@ -378,15 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command `argv` names on the loaded --config file and return the exit code.
+
+    Each cmd_* takes (args, cfg), writes its files and returns the data files
+    among them in write order, which main prints one per line; a manifest is
+    written but not returned, and no cmd_* prints.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        for path in args.func(args, _load_config(args.config)):
+            print(path)
     except ValueError as exc:
         print(f"gpsdenoise: error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MemoryError) as exc:
         print(f"gpsdenoise: failure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

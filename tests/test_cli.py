@@ -248,6 +248,35 @@ def test_manifest_replays_its_run(tmp_path, small_config, command):
         assert a == b, name
 
 
+# One call per command with the data files it writes, in write order; None
+# for a call whose setting is rejected.
+PRINTED_FILES = [
+    pytest.param(["generate"], ["series.csv"], id="generate"),
+    pytest.param(["bench", "--nnsize", "4", "--spread", "10", "--repeats", "1"],
+                 ["report.csv"], id="bench"),
+    pytest.param(["plot-data", "--component", "east,north", "--nnsize", "4", "--spread", "10"],
+                 ["plot_conventional_east.csv", "plot_conventional_north.csv"], id="plot-data"),
+    pytest.param(["plot-data", "--filter", "ultra"], None, id="rejected"),
+]
+
+
+@pytest.mark.parametrize("argv, names", PRINTED_FILES)
+def test_a_command_prints_the_files_it_wrote(tmp_path, small_config, capsys, argv, names):
+    out_dir = tmp_path / "out"
+    rc = main(argv + ["--config", str(small_config), "--out-dir", str(out_dir)])
+    printed = capsys.readouterr().out
+    if names is None:
+        assert rc == 2
+        assert printed == ""
+        assert not out_dir.exists()
+        return
+    assert rc == 0
+    # the data files only: each command also writes a manifest, unprinted
+    assert printed.splitlines() == [str(out_dir / name) for name in names]
+    assert all((out_dir / name).is_file() for name in names)
+    assert len(list(out_dir.glob("*manifest.json"))) == 1
+
+
 @pytest.mark.parametrize("command", ["bench", "plot-data"])
 def test_every_section_key_has_a_flag_of_its_name(command):
     # a flag overrides the config key whose name its dest carries, so a

@@ -1,8 +1,13 @@
 """Tests for the Gaussian RBF network and its greedy incremental training."""
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1183,3 +1188,38 @@ class TestInSpanBlocks:
         assert np.all(np.abs(two_pass / c_norm - np.linspace(0.5e-10, 1.5e-10, cols)) < 1e-12)
         assert np.all(np.abs(one_pass - two_pass) < margin * c_norm)
         assert 0 < margin < 5e-12
+
+
+# Trains the default noisy signal at 16 384 samples, conventional, and prints
+# a hash of each float field of the run.
+_BLAS_RUN = """
+import dataclasses, hashlib, json
+from gpsdenoise.pipeline import DEFAULT_NOISE, DEFAULT_TRAJECTORY
+from gpsdenoise.rbf import TrainConfig, train
+from gpsdenoise.signal import add_noise, generate_trajectory
+
+trajectory = dataclasses.replace(DEFAULT_TRAJECTORY, n_samples=16384)
+series = add_noise(generate_trajectory(trajectory), DEFAULT_NOISE)
+net, trace = train(series.timestamps[:, None], series.samples, TrainConfig(0.0, 60, 5.0))
+fields = {"sse_history": trace.sse_history, "R": trace.R, "coef": trace.coef,
+          "weights": net.output_weights, "bias": net.output_bias}
+print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in fields.items()}))
+"""
+
+
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif(_available_cpus() < 2, reason="one CPU: both runs use one BLAS thread")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
+def test_one_answer_on_one_and_two_blas_threads():
+    # the run's environment sets the thread count, whatever the suite's is
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0] == runs[1]

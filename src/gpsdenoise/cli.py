@@ -43,6 +43,7 @@ from .signal import (
     NoiseConfig,
     Sinusoid,
     TrajectoryConfig,
+    column_text,
     generate_trajectory,
     write_series,
 )
@@ -266,10 +267,10 @@ def cmd_bench(args, cfg: dict) -> list[Path]:
     trajectory, noise, band_spec = _resolve_common(cfg, args)
     bench = _section(cfg, "bench", args)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     configs = build_grid(bench["nnsize"], bench["spread"], bench["sse"], bench["filter"],
                          band_spec, noise, trajectory)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = run_table(configs, repeats=bench["repeats"])
 
     report_path = out_dir / args.report
@@ -294,10 +295,11 @@ def cmd_plot_data(args, cfg: dict) -> list[Path]:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = config.method if config.band == "none" else f"{config.method}_{config.band}"
+    t_text = column_text(result.reference.timestamps)  # every component's time axis
     written = []
     for data in emit_plot_data(result, plot["component"]):
         path = out_dir / f"plot_{tag}_{data.component}.csv"
-        write_plot_data(data, path)
+        write_plot_data(data, path, t_text)
         written.append(path)
 
     _write_manifest(

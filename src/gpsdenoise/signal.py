@@ -230,20 +230,60 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def write_csv(path: str | Path, header: str, columns: Sequence[np.ndarray]) -> None:
+class ColumnText(NamedTuple):
+    """A 1-D column formatted once by column_text, for write_csv to reuse."""
+
+    rows: int
+    blocks: tuple[str, ...]  # one newline-joined string per _CSV_BLOCK rows
+
+
+def column_text(values: np.ndarray) -> ColumnText:
+    """The exact repr of each float64 of a 1-D array, one string per write block.
+
+    write_csv takes it in place of the array: a column shared by several
+    files, such as a run's time axis, is then formatted once for all of
+    them. Only one block of Python floats is alive at a time.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"column_text takes a 1-d array, got shape {values.shape}")
+    return ColumnText(values.size, tuple("\n".join(map(repr, values[i:i + _CSV_BLOCK].tolist()))
+                                         for i in range(0, values.size, _CSV_BLOCK)))
+
+
+def write_csv(path: str | Path, header: str,
+              columns: Sequence[np.ndarray | ColumnText]) -> None:
     """Write equal-length columns as CSV, each value as the exact repr of its float64.
 
-    Rows are formatted and written _CSV_BLOCK at a time, so the Python
-    objects of only one block are alive at once.
+    A column is a 1-D array, a 2-D array of several columns, or the
+    ColumnText of a 1-D array. Columns covering different numbers of rows
+    are a ValueError, raised before the file is opened. Each block of
+    _CSV_BLOCK rows is formatted column by column and written at once, so
+    the Python objects of only one block are alive, besides the text
+    given as ColumnText.
     """
-    table = np.column_stack(columns).astype(np.float64, copy=False)
+    cols = []
+    for col in columns:
+        if isinstance(col, ColumnText):
+            cols.append(col)
+        else:
+            col = np.asarray(col, dtype=np.float64)
+            if col.ndim not in (1, 2):
+                raise ValueError(f"a column must be a 1-d or 2-d array, got shape {col.shape}")
+            cols.extend(col.T if col.ndim == 2 else [col])
+    rows = {len(col) if isinstance(col, np.ndarray) else col.rows for col in cols}
+    if len(rows) != 1:
+        raise ValueError(f"columns must cover one number of rows, got {sorted(rows)}")
+    (n,) = rows
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for i in range(0, table.shape[0], _CSV_BLOCK):
-            # one tolist costs far less than converting numpy scalars one at a
-            # time; unnamed, its rows are freed before the next block's are built
-            fh.write("\n".join([",".join(map(repr, row))
-                                for row in table[i:i + _CSV_BLOCK].tolist()]) + "\n")
+        for k, i in enumerate(range(0, n, _CSV_BLOCK)):
+            # one tolist per column costs far less than converting numpy scalars
+            # one at a time; unnamed, a block's cells are freed before the next
+            # block's are built
+            fh.write("\n".join(map(",".join, zip(*[
+                col.blocks[k].split("\n") if isinstance(col, ColumnText)
+                else map(repr, col[i:i + _CSV_BLOCK].tolist()) for col in cols]))) + "\n")
 
 
 def write_series(series: PositionSeries, path: str | Path) -> None:

@@ -175,6 +175,21 @@ class TestPlotData:
         for comp in ("north", "east", "alt"):
             assert (tmp_path / f"plot_improved_low_{comp}.csv").exists()
 
+    def test_components_share_one_time_axis(self, tmp_path):
+        # a run formats its time axis once for every component file; across
+        # three write blocks, each file must equal a run of its component alone
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc["trajectory"]["n_samples"] = 2500
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = ["plot-data", "--config", str(config), "--filter", "low", "--nnsize", "8",
+                "--spread", "10"]
+        assert main(argv + ["--component", "north,east,alt", "--out-dir", str(tmp_path / "all")]) == 0
+        for comp in ("north", "east", "alt"):
+            assert main(argv + ["--component", comp, "--out-dir", str(tmp_path / comp)]) == 0
+            name = f"plot_improved_low_{comp}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / comp / name).read_bytes()
+
     def test_learned_column_recomputes_reported_mse(self, tmp_path, small_config):
         rc = main(["plot-data", "--config", str(small_config),
                    "--component", "north,east,alt", "--filter", "low",
@@ -257,6 +272,8 @@ PRINTED_FILES = [
     pytest.param(["plot-data", "--component", "east,north", "--nnsize", "4", "--spread", "10"],
                  ["plot_conventional_east.csv", "plot_conventional_north.csv"], id="plot-data"),
     pytest.param(["plot-data", "--filter", "ultra"], None, id="rejected"),
+    # build_grid rejects the budget before the output directory is made
+    pytest.param(["bench", "--nnsize", "0"], None, id="rejected-bench"),
 ]
 
 

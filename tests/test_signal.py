@@ -13,6 +13,7 @@ from gpsdenoise.signal import (
     Sinusoid,
     TrajectoryConfig,
     add_noise,
+    column_text,
     generate_trajectory,
     mse,
     read_series,
@@ -259,9 +260,12 @@ class TestSeriesIO:
         assert np.array_equal(out.samples, s.samples)
         assert np.signbit(out.samples[0, 1])
 
-    @pytest.mark.parametrize("n", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2500])
-    def test_blocks_join_as_one_text(self, tmp_path, n):
-        # the text is the one-shot join of every row, whatever the block edges
+    @pytest.mark.parametrize("n, as_text", [
+        pytest.param(n, as_text, id=f"{n}-column_text" if as_text else str(n))
+        for as_text in (False, True) for n in (_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2500)])
+    def test_blocks_join_as_one_text(self, tmp_path, n, as_text):
+        # the text is the one-shot join of every row, whatever the block edges,
+        # and a first column given as its column_text writes the same text
         specials = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
         table = np.random.default_rng(n).normal(0.0, 1e3, (n, len(specials)))
         for edge in range(_CSV_BLOCK, n + _CSV_BLOCK, _CSV_BLOCK):
@@ -270,9 +274,42 @@ class TestSeriesIO:
                 table[edge] = np.roll(specials, 2)
         header = "a,b,c,d,e"
         path = tmp_path / "t.csv"
-        write_csv(path, header, (table[:, 0], table[:, 1:]))
+        first = column_text(table[:, 0]) if as_text else table[:, 0]
+        write_csv(path, header, (first, table[:, 1:]))
         expected = "\n".join([header] + [",".join(map(repr, row)) for row in table.tolist()])
         assert path.read_text() == expected + "\n"
+
+    @pytest.mark.parametrize("first", [
+        np.arange(9.0),
+        column_text(np.arange(9.0)),
+        column_text(np.arange(11.0)),
+        column_text(np.arange(_CSV_BLOCK + 10.0)),
+    ], ids=["array", "column_text", "column_text-longer", "column_text-past-a-block"])
+    def test_columns_of_other_lengths_are_rejected(self, tmp_path, first):
+        # rows are joined through zip, which would silently stop at the
+        # shortest column; the check runs before the file is opened
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="number of rows"):
+            write_csv(path, "a,b,c", (first, np.ones((10, 2))))
+        assert not path.exists()
+
+    def test_column_text_takes_one_column(self):
+        with pytest.raises(ValueError, match="1-d"):
+            column_text(np.ones((4, 2)))
+
+    def test_column_text_is_smaller_than_the_table(self):
+        # a plot file's float64 table is 4 columns x 8 bytes a sample; the
+        # time axis formatted once for every component file stays below it
+        n = 100_000
+        t = np.arange(n) * 0.1
+        tracemalloc.start()
+        try:
+            text = column_text(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text.rows == n
+        assert peak < 4 * 8 * n
 
     def test_write_holds_one_row_block(self, tmp_path):
         # a 50 000 x 4 table of 17-digit values: its Python objects would

@@ -246,15 +246,14 @@ def cmd_generate(args, cfg: dict) -> list[Path]:
     """Write the series CSV and its manifest; return [the CSV]."""
     trajectory, noise, _ = _resolve_common(cfg, args)
     noisy = args.noisy or cfg.get("noisy", _SCHEMA["noisy"].default)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = Path(args.out) if args.out else out_dir / "series.csv"
-
     series = generate_trajectory(trajectory)
     if noisy:
         from .signal import add_noise
 
         series = add_noise(series, noise)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out) if args.out else out_dir / "series.csv"
     write_series(series, out)
     _write_manifest(out.with_suffix(".manifest.json"), "generate",
                     {"trajectory": trajectory, "noise": noise, "noisy": noisy})

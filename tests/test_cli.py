@@ -274,6 +274,8 @@ PRINTED_FILES = [
     pytest.param(["plot-data", "--filter", "ultra"], None, id="rejected"),
     # build_grid rejects the budget before the output directory is made
     pytest.param(["bench", "--nnsize", "0"], None, id="rejected-bench"),
+    # the noise is drawn before the output directory is made
+    pytest.param(["generate", "--noisy", "--sigma", "1e308"], None, id="rejected-generate"),
 ]
 
 

@@ -26,6 +26,7 @@ from gpsdenoise.signal import (
     NoiseConfig,
     Sinusoid,
     TrajectoryConfig,
+    _value_slots,
     add_noise,
     generate_trajectory,
 )
@@ -586,6 +587,23 @@ class TestPlotData:
         t, orig, teach, learned = (float(v) for v in lines[1].split(","))
         assert t == plot.t[0]
         assert learned == plot.learned[0]
+
+    @pytest.mark.parametrize("columns", ["plot", "series"])
+    def test_csv_kernel_formats_nearly_every_value_itself(self, columns):
+        # a writer that left every value to repr would write the same text,
+        # only slower: of the default improved low-band plot columns and of a
+        # noisy series, at most 1% of the values may go through repr
+        if columns == "plot":
+            result = run_method(build_grid([100], [50.0], [1e-6], ["low"])[-1])
+            values = [np.concatenate([p.t, p.original, p.teaching, p.learned])
+                      for p in emit_plot_data(result)]
+        else:
+            series = add_noise(generate_trajectory(DEFAULT_TRAJECTORY), DEFAULT_NOISE)
+            values = [series.timestamps, series.samples.ravel()]
+        values = np.concatenate(values)
+        _, by_repr = _value_slots(values)
+        assert values.size >= 4 * 4096
+        assert by_repr.mean() <= 0.01
 
     def test_teaching_starts_at_bias_only(self):
         conv, _ = _pair(max_neurons=12)

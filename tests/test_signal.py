@@ -27,6 +27,43 @@ def _random_series(seed, n=64, dt=0.5):
     return PositionSeries(np.arange(n) * dt, rng.normal(0.0, 3.0, (n, 3)))
 
 
+def repr_families(rng, n=200_000):
+    """About n float64 values, shuffled, from every family whose text the CSV
+    writer must print exactly as repr does: random 64-bit patterns (NaN,
+    infinities and subnormals among them), normal draws at five scales,
+    values rounded to 0-9 decimals and their float neighbours, integers up
+    to 1e15, values spread evenly in log over the range the writer prints
+    in fixed notation, the powers of ten from 1e-5 to 1e16 with their
+    neighbours, and the powers of two around that range."""
+    m = n // 12 + 1
+    rounded = np.concatenate([np.round(rng.uniform(-1e4, 1e4, m // 10), d) for d in range(10)])
+    tens = np.array([float(f"1e{k}") for k in range(-5, 17)])
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 2 * m, dtype=np.uint64).view(np.float64),
+        *(rng.normal(0.0, scale, m) for scale in (1e-3, 1.0, 1e3, 1e6, 1e12)),
+        rounded, np.nextafter(rounded, np.inf), np.nextafter(rounded, -np.inf),
+        rng.integers(-10 ** 15, 10 ** 15, m).astype(np.float64),
+        10.0 ** rng.uniform(-4, 16, m),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.ldexp(1.0, np.arange(-16, 56)),
+    ])
+    rng.shuffle(values)
+    return values
+
+
+def repr_mismatches(values, path, first_as_text=False):
+    """The lines of write_csv's file of values, in rows of five, that differ
+    from the rows of repr texts, as (written, repr) pairs."""
+    table = values[:values.size // 5 * 5].reshape(-1, 5)
+    first = column_text(table[:, 0]) if first_as_text else table[:, 0]
+    write_csv(path, "a,b,c,d,e", (first, table[:, 1:]))
+    written = path.read_text().split("\n")
+    expected = ["a,b,c,d,e"] + [",".join(map(repr, row)) for row in table.tolist()] + [""]
+    if len(written) != len(expected):
+        return [(f"{len(written)} lines", f"{len(expected)} lines")]
+    return [(w, e) for w, e in zip(written, expected) if w != e]
+
+
 class TestPositionSeries:
     def test_basic_construction(self):
         s = PositionSeries([0.0, 1.0, 2.0], np.zeros((3, 3)))
@@ -292,6 +329,43 @@ class TestSeriesIO:
         with pytest.raises(ValueError, match="number of rows"):
             write_csv(path, "a,b,c", (first, np.ones((10, 2))))
         assert not path.exists()
+
+    @pytest.mark.parametrize("rows, as_text", [
+        pytest.param(rows, as_text, id=f"{rows}{'-column_text' if as_text else ''}")
+        for rows in (_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1) for as_text in (False, True)
+    ] + [pytest.param(None, True, id="all-column_text")])
+    def test_every_value_is_written_as_its_repr(self, tmp_path, rows, as_text):
+        # repr is the oracle: files of every family's values that end at a
+        # write block's edge, and one of 2e5 values over many blocks, the
+        # first column given as an array or as its column_text
+        values = repr_families(np.random.default_rng(39))
+        if rows is not None:
+            values = values[:5 * rows]
+        assert values.size >= (2e5 if rows is None else 5 * rows)
+        assert repr_mismatches(values, tmp_path / "t.csv", as_text)[:5] == []
+
+    @pytest.mark.parametrize("value, text", [
+        (0.1 + 0.2, "0.30000000000000004"),
+        (9.999999999999998, "9.999999999999998"),
+        (99.99999999999999, "99.99999999999999"),
+        (1e-4, "0.0001"),
+        (np.nextafter(1e-4, 0.0), "9.999999999999999e-05"),
+        (1e16, "1e+16"),
+        (np.nextafter(1e16, 0.0), "9999999999999998.0"),
+        (2.0 ** -20, "9.5367431640625e-07"),
+        (5e-324, "5e-324"),
+        (-0.0, "-0.0"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+    ])
+    def test_pinned_value_text(self, tmp_path, value, text):
+        # each edge of the writer's own formatting, and values only repr formats
+        path = tmp_path / "v.csv"
+        write_csv(path, "v,w", (np.array([value, 1.5]), np.array([2.5, value])))
+        assert path.read_text() == f"v,w\n{text},2.5\n1.5,{text}\n"
+        assert column_text(np.array([value, value])).blocks == (f"{text}\n{text}",)
 
     def test_column_text_takes_one_column(self):
         with pytest.raises(ValueError, match="1-d"):

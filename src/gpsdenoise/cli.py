@@ -43,7 +43,6 @@ from .signal import (
     NoiseConfig,
     Sinusoid,
     TrajectoryConfig,
-    column_text,
     generate_trajectory,
     write_series,
 )
@@ -251,9 +250,9 @@ def cmd_generate(args, cfg: dict) -> list[Path]:
         from .signal import add_noise
 
         series = add_noise(series, noise)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = Path(args.out) if args.out else out_dir / "series.csv"
+    out = Path(args.out) if args.out else Path(args.out_dir, "series.csv")
+    if not args.out:  # --out-dir holds nothing when --out names the file
+        out.parent.mkdir(parents=True, exist_ok=True)
     write_series(series, out)
     _write_manifest(out.with_suffix(".manifest.json"), "generate",
                     {"trajectory": trajectory, "noise": noise, "noisy": noisy})
@@ -294,11 +293,10 @@ def cmd_plot_data(args, cfg: dict) -> list[Path]:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = config.method if config.band == "none" else f"{config.method}_{config.band}"
-    t_text = column_text(result.reference.timestamps)  # every component's time axis
     written = []
     for data in emit_plot_data(result, plot["component"]):
         path = out_dir / f"plot_{tag}_{data.component}.csv"
-        write_plot_data(data, path, t_text)
+        write_plot_data(data, path)
         written.append(path)
 
     _write_manifest(

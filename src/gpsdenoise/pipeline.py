@@ -27,7 +27,6 @@ from .bandfilter import BAND_NAMES, BandSpec, select_band
 from .rbf import RbfNetwork, TrainConfig, TrainTrace, cut_run, forward, stage_network, train
 from .signal import (
     COMPONENTS,
-    ColumnText,
     NoiseConfig,
     PositionSeries,
     Sinusoid,
@@ -410,11 +409,7 @@ def write_report(results: Iterable[BenchmarkResult], path: str | Path) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="ascii")
 
 
-def write_plot_data(plot: PlotData, path: str | Path, t_text: ColumnText | None = None) -> None:
-    """Write one component's plot rows as CSV.
-
-    t_text, when given, is column_text(plot.t): the components of one run
-    share their time axis, so it can be formatted once for all of their files.
-    """
-    write_csv(path, PLOT_HEADER, (plot.t if t_text is None else t_text, plot.original,
-                                  plot.teaching, plot.learned))
+def write_plot_data(plot: PlotData, path: str | Path) -> None:
+    """Write one component's plot rows as CSV under PLOT_HEADER. Each file
+    formats its own time axis, as it formats its other columns."""
+    write_csv(path, PLOT_HEADER, (plot.t, plot.original, plot.teaching, plot.learned))

@@ -5,6 +5,7 @@ position component (north, east, altitude), all in meters.
 """
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -234,72 +235,79 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
 # in fixed notation, without repr: P = |x| * 10**k lies in [1e16, 1e17), so
 # the 17 digits of an integer within half an ulp of x carry the shortest
 # round-trip output that repr prints (Gay's dtoa).
-# Each decade's floor 10**m (the nearest float, m = -4 .. 16), its 10**k
-# with k = 16 - m (exact), and the Veltkamp halves of 10**k for Dekker's
-# exact product (Dekker 1971).
-_DECADES = np.array([float(f"1e{m}") for m in range(-4, 17)])
-_SCALE = np.array([float(f"1e{16 - m}") for m in range(-4, 16)])
-_SCALE_HI = _SCALE * 134217729.0 - (_SCALE * 134217729.0 - _SCALE)
-_SCALE_LO = _SCALE - _SCALE_HI
-# frexp's exponent e puts a value in [2**(e-1), 2**e), so its decade is that
-# of 2**(e-1) or the next one; indexed by e + 13, e = -13 .. 54.
-_DECADE_OF_EXP = np.maximum(
-    np.searchsorted(_DECADES, np.ldexp(1.0, np.arange(-14, 54)), side="right") - 1, 0)
 # A decision this close to its boundary is left to repr; the kernel's own
 # rounding is below 1e-13 on the quantities it compares (at most 100).
 _MARGIN = 1e-9
-# Four ASCII digits of each of 0 .. 9999, as one uint32 in memory order,
-# and how many of them are trailing zeros (4 for 0).
-_QUADS = np.arange(10_000, dtype=np.int16)
-_QUAD_TEXT = np.stack([_QUADS // p % 10 + 48 for p in (1000, 100, 10, 1)], axis=1).astype(
-    np.uint8).view(np.uint32).ravel()
-_QUAD_ZEROS = sum((_QUADS % 10 ** j == 0).astype(np.uint8) for j in range(1, 5))
-# Text slots of one value, in output order, as 12 uint32 words. Bytes 0-19:
-# the separator before the value, its sign, the "0" of "0.", then the 17
-# digits (d0 ends the first word, four quads follow), kept where they are
-# integer digits. Bytes 20-27: ".", the "0" of an empty fraction, 3 leading
-# fraction zeros, 3 unused. Bytes 28-47: the five digit words again, kept
-# where they are fraction digits. Unused slots hold NUL. For each layout key
-# (decade, significant digits): the mask of the digit slots in use and the
-# fixed characters.
+# Text slots of one value, in output order (see _kernel_tables).
 _SLOTS = 48
-_POINT = np.repeat(np.arange(-3, 17), 17)[:, None]  # digits before the point
-_USED = np.tile(np.arange(1, 18), 20)[:, None]  # significant digits
-_DIGIT = np.arange(17)
-_LAYOUT_DIGITS = np.zeros((_POINT.size, _SLOTS), np.uint8)
-_LAYOUT_DIGITS[:, 3:20] = (_DIGIT < _POINT) * 255
-_LAYOUT_DIGITS[:, 31:48] = ((_DIGIT >= _POINT) & (_DIGIT < _USED)) * 255
-_LAYOUT_CHARS = np.zeros((_POINT.size, _SLOTS), np.uint8)
-_LAYOUT_CHARS[:, 2:3] = (_POINT <= 0) * 48
-_LAYOUT_CHARS[:, 20] = 46
-_LAYOUT_CHARS[:, 21:22] = (_POINT >= _USED) * 48
-_LAYOUT_CHARS[:, 22:25] = (_DIGIT[:3] < -_POINT) * 48
-_LAYOUT_DIGITS = _LAYOUT_DIGITS.view(np.uint32)
-_LAYOUT_CHARS = _LAYOUT_CHARS.view(np.uint32)
-del _QUADS, _POINT, _USED, _DIGIT
+
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's constant tables, built on the first CSV write so that a
+    process that writes none never pays for them."""
+    # Each decade's floor 10**m (the nearest float, m = -4 .. 16), its 10**k
+    # with k = 16 - m (exact), and the Veltkamp halves of 10**k for Dekker's
+    # exact product (Dekker 1971).
+    decades = np.array([float(f"1e{m}") for m in range(-4, 17)])
+    scales = np.array([float(f"1e{16 - m}") for m in range(-4, 16)])
+    scales_hi = scales * 134217729.0 - (scales * 134217729.0 - scales)
+    scales_lo = scales - scales_hi
+    # frexp's exponent e puts a value in [2**(e-1), 2**e), so its decade is
+    # that of 2**(e-1) or the next one; indexed by e + 13, e = -13 .. 54.
+    decade_of_exp = np.maximum(
+        np.searchsorted(decades, np.ldexp(1.0, np.arange(-14, 54)), side="right") - 1, 0)
+    # Four ASCII digits of each of 0 .. 9999, as one uint32 in memory order,
+    # and how many of them are trailing zeros (4 for 0).
+    quads = np.arange(10_000, dtype=np.int16)
+    quad_text = np.stack([quads // p % 10 + 48 for p in (1000, 100, 10, 1)], axis=1).astype(
+        np.uint8).view(np.uint32).ravel()
+    quad_zeros = sum((quads % 10 ** j == 0).astype(np.uint8) for j in range(1, 5))
+    # _SLOTS bytes of text a value, as 12 uint32 words. Bytes 0-19: the
+    # separator before the value, its sign, the "0" of "0.", then the 17
+    # digits (d0 ends the first word, four quads follow), kept where they are
+    # integer digits. Bytes 20-27: ".", the "0" of an empty fraction, 3
+    # leading fraction zeros, 3 unused. Bytes 28-47: the five digit words
+    # again, kept where they are fraction digits. Unused slots hold NUL. For
+    # each layout key (decade, significant digits): the mask of the digit
+    # slots in use and the fixed characters.
+    point = np.repeat(np.arange(-3, 17), 17)[:, None]  # digits before the point
+    used = np.tile(np.arange(1, 18), 20)[:, None]  # significant digits
+    digit = np.arange(17)
+    layout_digits = np.zeros((point.size, _SLOTS), np.uint8)
+    layout_digits[:, 3:20] = (digit < point) * 255
+    layout_digits[:, 31:48] = ((digit >= point) & (digit < used)) * 255
+    layout_chars = np.zeros((point.size, _SLOTS), np.uint8)
+    layout_chars[:, 2:3] = (point <= 0) * 48
+    layout_chars[:, 20] = 46
+    layout_chars[:, 21:22] = (point >= used) * 48
+    layout_chars[:, 22:25] = (digit[:3] < -point) * 48
+    return (decades, scales, scales_hi, scales_lo, decade_of_exp, quad_text, quad_zeros,
+            layout_digits.view(np.uint32), layout_chars.view(np.uint32))
 
 
 def _shortest_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each |x| = a: the 17-digit integer whose leading digits, up to its
     trailing zeros, are the shortest round-trip digits of a; a's decade
-    (an index into _DECADES); and the mask of values it leaves to repr:
+    (m + 4 for its floor 10**m); and the mask of values it leaves to repr:
     those outside [1e-4, 1e16), those with a power-of-two significand (their
     rounding interval is lopsided), and those for which some decision lies
     within _MARGIN of its boundary. Their digits are 10**16.
     """
+    decades, scales, scales_hi, scales_lo, decade_of_exp, *_ = _kernel_tables()
     fast = (a >= 1e-4) & (a < 1e16)  # False for NaN
     a = np.where(fast, a, 1.5)
     f, e = np.frexp(a)
     fast &= f != 0.5
-    guess = np.take(_DECADE_OF_EXP, e + 13)
-    decade = guess + (a >= np.take(_DECADES, guess + 1))
+    guess = np.take(decade_of_exp, e + 13)
+    decade = guess + (a >= np.take(decades, guess + 1))
     # P = a * 10**k = hi + lo exactly, with 1e16 <= P < 1e17
-    scale = np.take(_SCALE, decade)
+    scale = np.take(scales, decade)
     hi = a * scale
     split = a * 134217729.0
     a_hi = split - (split - a)
     a_lo = a - a_hi
-    s_hi, s_lo = np.take(_SCALE_HI, decade), np.take(_SCALE_LO, decade)
+    s_hi, s_lo = np.take(scales_hi, decade), np.take(scales_lo, decade)
     lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
     # hi >= 1e16 is an integer, so P's nearest integer is c0 = hi + rint(lo)
     lo_int = np.rint(lo)
@@ -333,6 +341,7 @@ def _value_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NUL-padded uint8 slots a value (the separator slot left NUL), and the
     mask of the values whose text repr itself gave (see _shortest_digits).
     """
+    *_, quad_text, quad_zeros, layout_digits, layout_chars = _kernel_tables()
     digits, decade, fallback = _shortest_digits(np.abs(x))
     quads = np.empty((x.size, 5), np.intp)  # d0, then four digits at a time
     for j in range(4, 0, -1):
@@ -340,16 +349,16 @@ def _value_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         quads[:, j] = digits - high * 10 ** 4
         digits = high
     quads[:, 0] = digits
-    zeros = np.take(_QUAD_ZEROS, quads)
+    zeros = np.take(quad_zeros, quads)
     trailing = zeros[:, 4] + (quads[:, 4] == 0) * (zeros[:, 3] + (quads[:, 3] == 0) * (
         zeros[:, 2] + (quads[:, 2] == 0) * zeros[:, 1]))
     key = decade * 17 + (16 - trailing)
-    words = np.take(_QUAD_TEXT, quads)
+    words = np.take(quad_text, quads)
     slots = np.empty((x.size, _SLOTS // 4), np.uint32)
     slots[:, :5] = words
     slots[:, 7:] = words
-    slots &= np.take(_LAYOUT_DIGITS, key, axis=0)
-    slots |= np.take(_LAYOUT_CHARS, key, axis=0)
+    slots &= np.take(layout_digits, key, axis=0)
+    slots |= np.take(layout_chars, key, axis=0)
     slots = slots.view(np.uint8)
     slots[:, 1] = np.signbit(x) * 45
     for i in np.flatnonzero(fallback):
@@ -359,89 +368,41 @@ def _value_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slots, fallback
 
 
-def _block_text(columns: list[np.ndarray | str]) -> str:
-    """One block of CSV rows, each ending in a newline, from equal-length
-    columns: each a 1-D float64 array, formatted by _value_slots, or one
-    block of a ColumnText, spliced in from its text."""
-    texts = [j for j, col in enumerate(columns) if isinstance(col, str)]
-    arrays = [j for j, col in enumerate(columns) if not isinstance(col, str)]
-    rows = len(columns[arrays[0]]) if arrays else columns[0].count("\n") + 1
-    values = np.stack([columns[j] for j in arrays], axis=1) if arrays else np.empty((rows, 0))
-    slots = _value_slots(values.ravel())[0].reshape(rows, len(arrays), _SLOTS)
-    if texts:
-        full = np.zeros((rows, len(columns), _SLOTS), np.uint8)
-        full[:, arrays] = slots
-        for j in texts:
-            # each row's text goes to the slots after its separator; the
-            # newline ending it becomes a NUL in the slot after that text
-            chars = np.frombuffer((columns[j] + "\n").encode("ascii"), np.uint8).copy()
-            ends = np.flatnonzero(chars == 10)
-            chars[ends] = 0
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            first = (np.arange(rows) * len(columns) + j) * _SLOTS + 1
-            full.ravel()[np.arange(chars.size) + np.repeat(first - starts, ends + 1 - starts)] = chars
-        slots = full
+def _block_text(columns: list[np.ndarray]) -> str:
+    """One block of CSV rows, each ending in a newline, from equal-length 1-D
+    float64 columns, every value laid out by _value_slots."""
+    values = np.stack(columns, axis=1)
+    slots = _value_slots(values.ravel())[0].reshape(*values.shape, _SLOTS)
     slots[:, 1:, 0] = 44
     slots[1:, 0, 0] = 10
     return slots.tobytes().translate(None, b"\0").decode("ascii") + "\n"
 
 
-class ColumnText(NamedTuple):
-    """A 1-D column formatted once by column_text. write_csv splices each
-    block's text, row by row at its newlines, into the slots of that column
-    in every file it writes, so the column is not formatted again."""
-
-    rows: int
-    blocks: tuple[str, ...]  # one newline-joined string per _CSV_BLOCK rows
-
-
-def column_text(values: np.ndarray) -> ColumnText:
-    """The exact repr of each float64 of a 1-D array, one string per write block.
-
-    write_csv takes it in place of the array: a column shared by several
-    files, such as a run's time axis, is then formatted once for all of
-    them, and spliced into each file's blocks from its text. Each value is
-    formatted as write_csv formats an array's (by _block_text's kernel, with
-    repr as its fallback), and only one block is held as slots at a time.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError(f"column_text takes a 1-d array, got shape {values.shape}")
-    return ColumnText(values.size, tuple(_block_text([values[i:i + _CSV_BLOCK]])[:-1]
-                                         for i in range(0, values.size, _CSV_BLOCK)))
-
-
-def write_csv(path: str | Path, header: str,
-              columns: Sequence[np.ndarray | ColumnText]) -> None:
+def write_csv(path: str | Path, header: str, columns: Sequence[np.ndarray]) -> None:
     """Write equal-length columns as CSV, each value as the exact repr of its float64.
 
-    A column is a 1-D array, a 2-D array of several columns, or the
-    ColumnText of a 1-D array. Columns covering different numbers of rows
-    are a ValueError, raised before the file is opened. Each block of
-    _CSV_BLOCK rows is laid out as text in one numpy pass (_block_text):
-    a value in [1e-4, 1e16) gets the digits repr would print from exact
-    float arithmetic; any other value, or one that arithmetic cannot
-    settle, gets repr itself. Only one block is held as text slots at a
-    time, besides the text given as ColumnText.
+    A column is a 1-D array or a 2-D array of several columns. Columns
+    covering different numbers of rows are a ValueError, raised before the
+    file is opened. Each block of _CSV_BLOCK rows is laid out as text in one
+    numpy pass (_block_text): a value in [1e-4, 1e16) gets the digits repr
+    would print from exact float arithmetic; any other value, or one that
+    arithmetic cannot settle, gets repr itself. Only one block is held as
+    text slots at a time.
     """
     cols = []
     for col in columns:
-        if isinstance(col, ColumnText):
-            cols.append(col)
-        else:
-            col = np.asarray(col, dtype=np.float64)
-            if col.ndim not in (1, 2):
-                raise ValueError(f"a column must be a 1-d or 2-d array, got shape {col.shape}")
-            cols.extend(col.T if col.ndim == 2 else [col])
-    rows = {len(col) if isinstance(col, np.ndarray) else col.rows for col in cols}
+        col = np.asarray(col, dtype=np.float64)
+        if col.ndim not in (1, 2):
+            raise ValueError(f"a column must be a 1-d or 2-d array, got shape {col.shape}")
+        cols.extend(col.T if col.ndim == 2 else [col])
+    rows = {len(col) for col in cols}
     if len(rows) != 1:
         raise ValueError(f"columns must cover one number of rows, got {sorted(rows)}")
     (n,) = rows
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for k, i in enumerate(range(0, n, _CSV_BLOCK)):
-            fh.write(_block_text([col.blocks[k] if isinstance(col, ColumnText)
-                                  else col[i:i + _CSV_BLOCK] for col in cols]))
+        for i in range(0, n, _CSV_BLOCK):
+            fh.write(_block_text([col[i:i + _CSV_BLOCK] for col in cols]))
 
 
 def write_series(series: PositionSeries, path: str | Path) -> None:

@@ -95,6 +95,20 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["config"]["trajectory"]["n_samples"] == 16
 
+    def test_out_writes_next_to_its_path_and_not_in_out_dir(self, tmp_path, capsys):
+        # --out names the file, so --out-dir is neither written nor created,
+        # also when --out cannot be written
+        out, out_dir = tmp_path / "here" / "s.csv", tmp_path / "unused"
+        out.parent.mkdir()
+        assert main(["generate", "--samples", "16", "--out", str(out),
+                     "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert sorted(p.name for p in out.parent.iterdir()) == ["s.csv", "s.manifest.json"]
+        assert len(read_series(out)) == 16
+        assert main(["generate", "--samples", "16", "--out", str(tmp_path / "missing" / "s.csv"),
+                     "--out-dir", str(out_dir)]) == 1
+        assert not out_dir.exists() and not (tmp_path / "missing").exists()
+
     def test_noisy_manifest_replays_byte_identical(self, tmp_path):
         first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
         assert main(["generate", "--samples", "64", "--noisy", "--seed", "7",
@@ -176,8 +190,8 @@ class TestPlotData:
             assert (tmp_path / f"plot_improved_low_{comp}.csv").exists()
 
     def test_components_share_one_time_axis(self, tmp_path):
-        # a run formats its time axis once for every component file; across
-        # three write blocks, each file must equal a run of its component alone
+        # each component file formats its own time axis; across three write
+        # blocks, each file must equal a run of its component alone
         doc = json.loads(json.dumps(SMALL_CONFIG))
         doc["trajectory"]["n_samples"] = 2500
         config = tmp_path / "config.json"

@@ -13,7 +13,6 @@ from gpsdenoise.signal import (
     Sinusoid,
     TrajectoryConfig,
     add_noise,
-    column_text,
     generate_trajectory,
     mse,
     read_series,
@@ -51,12 +50,11 @@ def repr_families(rng, n=200_000):
     return values
 
 
-def repr_mismatches(values, path, first_as_text=False):
+def repr_mismatches(values, path):
     """The lines of write_csv's file of values, in rows of five, that differ
     from the rows of repr texts, as (written, repr) pairs."""
     table = values[:values.size // 5 * 5].reshape(-1, 5)
-    first = column_text(table[:, 0]) if first_as_text else table[:, 0]
-    write_csv(path, "a,b,c,d,e", (first, table[:, 1:]))
+    write_csv(path, "a,b,c,d,e", (table[:, 0], table[:, 1:]))
     written = path.read_text().split("\n")
     expected = ["a,b,c,d,e"] + [",".join(map(repr, row)) for row in table.tolist()] + [""]
     if len(written) != len(expected):
@@ -297,12 +295,9 @@ class TestSeriesIO:
         assert np.array_equal(out.samples, s.samples)
         assert np.signbit(out.samples[0, 1])
 
-    @pytest.mark.parametrize("n, as_text", [
-        pytest.param(n, as_text, id=f"{n}-column_text" if as_text else str(n))
-        for as_text in (False, True) for n in (_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2500)])
-    def test_blocks_join_as_one_text(self, tmp_path, n, as_text):
-        # the text is the one-shot join of every row, whatever the block edges,
-        # and a first column given as its column_text writes the same text
+    @pytest.mark.parametrize("n", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2500])
+    def test_blocks_join_as_one_text(self, tmp_path, n):
+        # the text is the one-shot join of every row, whatever the block edges
         specials = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
         table = np.random.default_rng(n).normal(0.0, 1e3, (n, len(specials)))
         for edge in range(_CSV_BLOCK, n + _CSV_BLOCK, _CSV_BLOCK):
@@ -311,38 +306,29 @@ class TestSeriesIO:
                 table[edge] = np.roll(specials, 2)
         header = "a,b,c,d,e"
         path = tmp_path / "t.csv"
-        first = column_text(table[:, 0]) if as_text else table[:, 0]
-        write_csv(path, header, (first, table[:, 1:]))
+        write_csv(path, header, (table[:, 0], table[:, 1:]))
         expected = "\n".join([header] + [",".join(map(repr, row)) for row in table.tolist()])
         assert path.read_text() == expected + "\n"
 
-    @pytest.mark.parametrize("first", [
-        np.arange(9.0),
-        column_text(np.arange(9.0)),
-        column_text(np.arange(11.0)),
-        column_text(np.arange(_CSV_BLOCK + 10.0)),
-    ], ids=["array", "column_text", "column_text-longer", "column_text-past-a-block"])
+    @pytest.mark.parametrize("first", [np.arange(9.0)], ids=["array"])
     def test_columns_of_other_lengths_are_rejected(self, tmp_path, first):
-        # rows are joined through zip, which would silently stop at the
-        # shortest column; the check runs before the file is opened
+        # the check runs before the file is opened, so no partial file is left
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError, match="number of rows"):
             write_csv(path, "a,b,c", (first, np.ones((10, 2))))
         assert not path.exists()
 
-    @pytest.mark.parametrize("rows, as_text", [
-        pytest.param(rows, as_text, id=f"{rows}{'-column_text' if as_text else ''}")
-        for rows in (_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1) for as_text in (False, True)
-    ] + [pytest.param(None, True, id="all-column_text")])
-    def test_every_value_is_written_as_its_repr(self, tmp_path, rows, as_text):
+    @pytest.mark.parametrize("rows", [
+        pytest.param(rows, id=str(rows)) for rows in (_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1)
+    ] + [pytest.param(None, id="all")])
+    def test_every_value_is_written_as_its_repr(self, tmp_path, rows):
         # repr is the oracle: files of every family's values that end at a
-        # write block's edge, and one of 2e5 values over many blocks, the
-        # first column given as an array or as its column_text
+        # write block's edge, and one of 2e5 values over many blocks
         values = repr_families(np.random.default_rng(39))
         if rows is not None:
             values = values[:5 * rows]
         assert values.size >= (2e5 if rows is None else 5 * rows)
-        assert repr_mismatches(values, tmp_path / "t.csv", as_text)[:5] == []
+        assert repr_mismatches(values, tmp_path / "t.csv")[:5] == []
 
     @pytest.mark.parametrize("value, text", [
         (0.1 + 0.2, "0.30000000000000004"),
@@ -365,25 +351,6 @@ class TestSeriesIO:
         path = tmp_path / "v.csv"
         write_csv(path, "v,w", (np.array([value, 1.5]), np.array([2.5, value])))
         assert path.read_text() == f"v,w\n{text},2.5\n1.5,{text}\n"
-        assert column_text(np.array([value, value])).blocks == (f"{text}\n{text}",)
-
-    def test_column_text_takes_one_column(self):
-        with pytest.raises(ValueError, match="1-d"):
-            column_text(np.ones((4, 2)))
-
-    def test_column_text_is_smaller_than_the_table(self):
-        # a plot file's float64 table is 4 columns x 8 bytes a sample; the
-        # time axis formatted once for every component file stays below it
-        n = 100_000
-        t = np.arange(n) * 0.1
-        tracemalloc.start()
-        try:
-            text = column_text(t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert text.rows == n
-        assert peak < 4 * 8 * n
 
     def test_write_holds_one_row_block(self, tmp_path):
         # a 50 000 x 4 table of 17-digit values: its Python objects would
